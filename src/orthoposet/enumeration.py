@@ -33,17 +33,17 @@ SEARCH_FLAGS = PROPERTY_NAMES + ("total", "a1", "a2", "adjoint")
 UNARY_FILTERS = ("all", "complementations", "orthogonal_complementations")
 
 
-def enumerate_relations(n: int, backend: str | None = None) -> Iterator[tuple[int, ...]]:
+def enumerate_relations(n: int) -> Iterator[tuple[int, ...]]:
     """Up-row tuples of every labeled poset on n elements, each exactly once."""
-    for code in kernels.relation_codes(n, backend=backend):
-        yield kernels.decode_relation(int(code), n)
+    for code in kernels.relation_codes(n):
+        yield kernels.decode_relation(code, n)
 
 
 def _default_names(n: int) -> list[str]:
     return [f"p{i}" for i in range(n)]
 
 
-def enumerate_posets(n: int, backend: str | None = None) -> Iterator[Poset]:
+def enumerate_posets(n: int) -> Iterator[Poset]:
     """Every labeled *bounded* poset on n elements, as Poset values."""
     if not (1 <= n <= MAX_BOUNDED_N):
         raise PosetError(f"bounded enumeration supports 1 <= n <= {MAX_BOUNDED_N}")
@@ -52,7 +52,7 @@ def enumerate_posets(n: int, backend: str | None = None) -> Iterator[Poset]:
         yield Poset(names, (1,))
         return
     m = n - 2
-    codes = [0] if m == 0 else [int(c) for c in kernels.relation_codes(m, backend=backend)]
+    codes = kernels.relation_codes(m) if m else [0]
     full = (1 << n) - 1
     for bottom in range(n):
         for top in range(n):
@@ -131,6 +131,8 @@ class SearchGoal:
             raise PosetError("require and forbid overlap")
         if not (1 <= self.max_n <= MAX_BOUNDED_N):
             raise PosetError(f"max_n must be between 1 and {MAX_BOUNDED_N}")
+        if self.limit is not None and self.limit < 1:
+            raise PosetError(f"limit must be at least 1, got {self.limit}")
 
 
 def instance_flag_map(op: OpPoset) -> dict[str, bool]:
@@ -163,20 +165,9 @@ def instance_flag_map(op: OpPoset) -> dict[str, bool]:
 
 
 def _kernel_flag_map(poset_flags: dict[str, bool], bits: int) -> dict[str, bool]:
-    a1 = bool(bits & kernels.FLAG_A1)
-    a2 = bool(bits & kernels.FLAG_A2)
-    return {
-        **poset_flags,
-        "orthogonal": bool(bits & kernels.FLAG_ORTHOGONAL),
-        "complemented": bool(bits & kernels.FLAG_COMPLEMENTED),
-        "antitone": bool(bits & kernels.FLAG_ANTITONE),
-        "involution": bool(bits & kernels.FLAG_INVOLUTION),
-        "orthomodular": bool(bits & kernels.FLAG_ORTHOMODULAR),
-        "total": bool(bits & kernels.FLAG_TOTAL),
-        "a1": a1,
-        "a2": a2,
-        "adjoint": a1 and a2,
-    }
+    flags = {**poset_flags, **{name: bool(bits & flag) for name, flag in kernels.FLAG_NAMES}}
+    flags["adjoint"] = flags["a1"] and flags["a2"]
+    return flags
 
 
 def _goal_maps(p: Poset, goal: SearchGoal, poset_index: int):
@@ -200,7 +191,7 @@ def _goal_maps(p: Poset, goal: SearchGoal, poset_index: int):
             yield prime
 
 
-def search(goal: SearchGoal, backend: str | None = None) -> Iterator[OpPoset]:
+def search(goal: SearchGoal) -> Iterator[OpPoset]:
     """Stream instances matching the goal, smallest carriers first.
 
     Flags a1/a2/adjoint are False wherever the operations are not total
@@ -211,7 +202,7 @@ def search(goal: SearchGoal, backend: str | None = None) -> Iterator[OpPoset]:
     found = 0
     poset_level = {"saturated", "modular", "lattice"}
     for n in range(1, goal.max_n + 1):
-        for idx, p in enumerate(enumerate_posets(n, backend=backend)):
+        for idx, p in enumerate(enumerate_posets(n)):
             poset_flags = {
                 "saturated": is_saturated(p).holds,
                 "modular": is_modular(p).holds,
@@ -223,7 +214,7 @@ def search(goal: SearchGoal, backend: str | None = None) -> Iterator[OpPoset]:
                 continue
             packed = kernels.pack_poset(p)
             for prime in _goal_maps(p, goal, idx):
-                bits = kernels.instance_flags(packed, prime, backend=backend)
+                bits = kernels.instance_flags(packed, prime)
                 flags = _kernel_flag_map(poset_flags, bits)
                 if all(flags[f] for f in goal.require) and not any(
                     flags[f] for f in goal.forbid

@@ -488,7 +488,12 @@ def _cmd_dot(args) -> int:
 def _cmd_verify_paper(args) -> int:
     numbers = None
     if args.criteria:
-        numbers = sorted(int(tok) for tok in args.criteria.split(","))
+        tokens = args.criteria.split(",")
+        known = {num for num, _, _, _ in verify.CRITERIA}
+        bad = [tok for tok in tokens if not (tok.strip().isdecimal() and int(tok) in known)]
+        if bad:
+            raise PosetError(f"unknown criterion {bad[0]!r} (choose from {min(known)}-{max(known)})")
+        numbers = sorted(int(tok) for tok in tokens)
     results = verify.run_all(numbers=numbers, progress=print)
     failed = [r for r in results if not r.passed]
     for r in results:

@@ -3,24 +3,17 @@
 Two jobs dominate runtime: enumerating every labeled order relation on a
 small carrier, and evaluating the full flag vector (orthogonality,
 complementation, adjointness directions, the six conditions, ...) for one
-(poset, unary map) instance. Both ship in two interchangeable backends:
-
-* ``numba``: scalar bit-twiddling loops compiled with @njit (default when
-  numba imports),
-* ``numpy``: vectorized boolean-tensor arithmetic over all pairs/triples.
-
-Set ORTHOPOSET_BACKEND=numpy (or numba) to force one. The pure-Python core
-modules never depend on this file, so every kernel result can be replayed
-against them.
+(poset, unary map) instance. Both work on plain ints used as bitmasks, over
+per-poset tables that ``pack_poset`` builds once and every map on the poset
+shares. The pure-Python core modules never depend on this file, so every
+kernel result can be replayed against them.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from typing import Optional
 
-import numpy as np
-
-from .poset_core import OpPoset, Poset, PosetError
+from .poset_core import Poset, PosetError, indices_of
 
 FLAG_ORTHOGONAL = 1 << 0
 FLAG_TOTAL = 1 << 1
@@ -37,6 +30,18 @@ FLAG_COND_IV = 1 << 11
 FLAG_COND_V = 1 << 12
 FLAG_COND_VI = 1 << 13
 
+# Search-flag name of each instance flag bit.
+FLAG_NAMES = (
+    ("orthogonal", FLAG_ORTHOGONAL),
+    ("total", FLAG_TOTAL),
+    ("complemented", FLAG_COMPLEMENTED),
+    ("antitone", FLAG_ANTITONE),
+    ("involution", FLAG_INVOLUTION),
+    ("orthomodular", FLAG_ORTHOMODULAR),
+    ("a1", FLAG_A1),
+    ("a2", FLAG_A2),
+)
+
 CONDITION_FLAGS = (
     ("i", FLAG_COND_I),
     ("ii", FLAG_COND_II),
@@ -48,504 +53,246 @@ CONDITION_FLAGS = (
 
 MAX_RELATION_N = 6
 
-_env = os.environ.get("ORTHOPOSET_BACKEND", "").strip().lower()
-if _env not in ("", "numba", "numpy"):
-    raise PosetError(f"ORTHOPOSET_BACKEND must be 'numba' or 'numpy', got {_env!r}")
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the numpy backend tests
-    numba = None
-    HAVE_NUMBA = False
-
-if _env == "numba" and not HAVE_NUMBA:
-    raise PosetError("ORTHOPOSET_BACKEND=numba but numba is not importable")
-
-DEFAULT_BACKEND = _env or ("numba" if HAVE_NUMBA else "numpy")
+# One evaluator, in plain Python; environment reports read these two names.
+HAVE_NUMBA = False
 
 
 def active_backend() -> str:
-    return DEFAULT_BACKEND
-
-
-def _resolve(backend):
-    b = backend or DEFAULT_BACKEND
-    if b not in ("numba", "numpy"):
-        raise PosetError(f"unknown backend {b!r}")
-    if b == "numba" and not HAVE_NUMBA:
-        raise PosetError("numba backend requested but numba is not importable")
-    return b
+    return "python"
 
 
 @dataclass(frozen=True)
 class PackedPoset:
-    """Per-poset structure tables shared by every unary map on it."""
+    """Per-poset structure tables shared by every unary map on it.
+
+    ``join``/``meet`` hold element indices, None where undefined.
+    ``min_upper[x][y]`` is the mask of Min U(x, y) and ``min_upper_idx[x][y]``
+    its ascending indices; ``max_lower``/``max_lower_idx`` hold Max L(x, y).
+    ``above[x]`` lists the indices of every y with x <= y.
+    """
 
     n: int
-    le: np.ndarray        # (n, n) bool, le[i, j] iff i <= j
-    join_idx: np.ndarray  # (n, n) int8, -1 where undefined
-    meet_idx: np.ndarray  # (n, n) int8
+    up: tuple[int, ...]
+    down: tuple[int, ...]
+    above: tuple[tuple[int, ...], ...]
+    join: tuple[tuple[Optional[int], ...], ...]
+    meet: tuple[tuple[Optional[int], ...], ...]
+    min_upper: tuple[tuple[int, ...], ...]
+    min_upper_idx: tuple[tuple[tuple[int, ...], ...], ...]
+    max_lower: tuple[tuple[int, ...], ...]
+    max_lower_idx: tuple[tuple[tuple[int, ...], ...], ...]
     bottom: int
     top: int
 
 
+def _extremal_tables(rows, extremal):
+    """Masks and indices of extremal(rows[x] & rows[y]) for every pair."""
+    found = {c: extremal(c) for c in {a & b for a in rows for b in rows}}
+    masks = tuple(tuple(found[a & b] for b in rows) for a in rows)
+    idx = {m: indices_of(m) for m in found.values()}
+    return masks, tuple(tuple(idx[m] for m in row) for row in masks)
+
+
 def pack_poset(p: Poset) -> PackedPoset:
-    n = p.n
-    if n > 62:
-        raise PosetError("kernel subsets are signed 64-bit words; carrier must stay <= 62")
-    le = np.zeros((n, n), dtype=np.bool_)
-    for i in range(n):
-        row = p.up[i]
-        for j in range(n):
-            if (row >> j) & 1:
-                le[i, j] = True
-    join_idx = np.full((n, n), -1, dtype=np.int8)
-    meet_idx = np.full((n, n), -1, dtype=np.int8)
-    for i in range(n):
-        for j in range(n):
-            jn = p.join(i, j)
-            mt = p.meet(i, j)
-            if jn is not None:
-                join_idx[i, j] = jn
-            if mt is not None:
-                meet_idx[i, j] = mt
-    return PackedPoset(n, le, join_idx, meet_idx, p.bottom, p.top)
-
-
-# ---------------------------------------------------------------------------
-# instance flags, numpy backend
-# ---------------------------------------------------------------------------
-
-
-def _instance_flags_numpy(packed: PackedPoset, prime: np.ndarray) -> int:
-    n = packed.n
-    le = packed.le
-    join_idx = packed.join_idx.astype(np.int64)
-    meet_idx = packed.meet_idx.astype(np.int64)
-    pr = prime.astype(np.int64)
-    idx = np.arange(n)
-    flags = 0
-
-    lt = le & ~np.eye(n, dtype=np.bool_)
-    jo_def = join_idx >= 0
-    me_def = meet_idx >= 0
-
-    orth = bool(
-        (~le | jo_def[idx[:, None], pr[None, :]]).all()
-        and (~le[pr] | me_def).all()
+    min_upper, min_upper_idx = _extremal_tables(p.up, p.minimal)
+    max_lower, max_lower_idx = _extremal_tables(p.down, p.maximal)
+    return PackedPoset(
+        p.n, p.up, p.down, tuple(indices_of(row) for row in p.up),
+        p.join_table, p.meet_table,
+        min_upper, min_upper_idx, max_lower, max_lower_idx,
+        p.bottom, p.top,
     )
-    if orth:
-        flags |= FLAG_ORTHOGONAL
-
-    comp = bool(
-        (join_idx[idx, pr] == packed.top).all()
-        and (meet_idx[idx, pr] == packed.bottom).all()
-    )
-    if comp:
-        flags |= FLAG_COMPLEMENTED
-
-    anti = bool((~le | le[pr][:, pr].T).all())
-    if anti:
-        flags |= FLAG_ANTITONE
-
-    inv = bool((pr[pr] == idx).all())
-    if inv:
-        flags |= FLAG_INVOLUTION
-
-    if comp and anti and inv:
-        j1 = join_idx[pr][:, :].T  # j1[x, y] = join(y', x)
-        d1 = j1 >= 0
-        j1c = np.where(d1, j1, 0)
-        j2 = join_idx[idx[:, None], pr[j1c]]
-        law = ~le | (d1 & (j2 >= 0) & (j2 == idx[None, :]))
-        if bool(law.all()):
-            flags |= FLAG_ORTHOMODULAR
-
-    # subset tensors: U2[x, y, z] iff z bounds {x, y} from above
-    leu = le.astype(np.uint8)
-    u2 = le[:, None, :] & le[None, :, :]
-    l2 = le.T[:, None, :] & le.T[None, :, :]
-    min_u = u2 & (np.matmul(u2.astype(np.uint8), lt.astype(np.uint8)) == 0)
-    max_l = l2 & (np.matmul(l2.astype(np.uint8), lt.T.astype(np.uint8)) == 0)
-    min_up = min_u[:, pr, :]  # min_up[x, y, z]: z minimal in U(x, y')
-
-    onehot = idx[None, None, :]
-    oh_meet = meet_idx[:, :, None] == onehot    # oh_meet[m, y, t]
-    oh_join = join_idx[:, :, None] == onehot    # oh_join[m, x, t]
-
-    odot_t = np.einsum("xym,myt->xyt", min_up.astype(np.uint8), oh_meet.astype(np.uint8)) > 0
-    odot_bad = np.einsum("xym,my->xy", min_up.astype(np.uint8), (~me_def).astype(np.uint8))
-    arrow_t = (
-        np.einsum("xym,mxt->xyt", max_l.astype(np.uint8), oh_join[:, pr, :].astype(np.uint8)) > 0
-    )
-    arrow_bad = np.einsum("xym,mx->xy", max_l.astype(np.uint8), (~jo_def)[:, pr].astype(np.uint8))
-
-    total = not bool(odot_bad.any() or arrow_bad.any())
-    if total:
-        flags |= FLAG_TOTAL
-    if not total:
-        return flags
-
-    odot_u = odot_t.astype(np.uint8)
-    arrow_u = arrow_t.astype(np.uint8)
-
-    # a1 / a2: odot[x,y] lower-covers {z} vs {x} upper-covered by arrow[y,z]
-    covers_z = np.matmul(odot_u, leu) > 0            # [x, y, z]
-    above_x = np.matmul(arrow_u, leu.T) > 0          # [y, z, x]
-    above_x = np.moveaxis(above_x, 2, 0)             # [x, y, z]
-    if bool((~covers_z | above_x).all()):
-        flags |= FLAG_A1
-    if bool((~above_x | covers_z).all()):
-        flags |= FLAG_A2
-
-    # condition i/ii: join y' onto each odot cell, compare with Min U(x, y')
-    r1 = np.einsum("xys,syt->xyt", odot_u, oh_join[:, pr, :].astype(np.uint8)) > 0
-    r1_bad = np.einsum("xys,sy->xy", odot_u, (~jo_def)[:, pr].astype(np.uint8)) > 0
-    if bool((~r1_bad).all() and (r1 == min_up).all()):
-        flags |= FLAG_COND_I
-    s_below = np.matmul(min_up.astype(np.uint8), leu) > 0  # [x, y, r]: some s <= r
-    if bool((~r1_bad).all() and (~r1 | s_below).all()):
-        flags |= FLAG_COND_II
-
-    # condition iii: x' <= y implies y = x' v (y ^ x)
-    hyp3 = le[pr]
-    m3 = meet_idx.T
-    m3c = np.where(m3 >= 0, m3, 0)
-    v3 = join_idx[pr][idx[:, None], m3c]
-    ok3 = (m3 >= 0) & (v3 == idx[None, :])
-    if bool((~hyp3 | ok3).all()):
-        flags |= FLAG_COND_III
-
-    # condition iv/v: meet x onto each arrow cell, compare with Max L(x, y)
-    r2 = np.einsum("xys,xst->xyt", arrow_u, oh_meet.astype(np.uint8)) > 0
-    r2_bad = np.einsum("xys,xs->xy", arrow_u, (~me_def).astype(np.uint8)) > 0
-    if bool((~r2_bad).all() and (r2 == max_l).all()):
-        flags |= FLAG_COND_IV
-    s_above = np.matmul(max_l.astype(np.uint8), leu.T) > 0  # [x, y, r]: some s >= r
-    if bool((~r2_bad).all() and (~r2 | s_above).all()):
-        flags |= FLAG_COND_V
-
-    # condition vi: x <= y implies x = (y' v x) ^ y
-    j6 = join_idx[pr].T  # j6[x, y] = join(y', x)
-    j6c = np.where(j6 >= 0, j6, 0)
-    m6 = meet_idx[j6c, idx[None, :]]
-    ok6 = (j6 >= 0) & (m6 == idx[:, None])
-    if bool((~le | ok6).all()):
-        flags |= FLAG_COND_VI
-
-    return flags
 
 
-# ---------------------------------------------------------------------------
-# instance flags, numba backend
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _instance_flags_jit(le, join_idx, meet_idx, prime, bottom, top):  # pragma: no cover
-        n = le.shape[0]
-        flags = 0
-
-        up = np.zeros(n, np.int64)
-        down = np.zeros(n, np.int64)
-        for i in range(n):
-            for j in range(n):
-                if le[i, j]:
-                    up[i] |= 1 << j
-                    down[j] |= 1 << i
-
-        orth = True
-        for a in range(n):
-            pa = prime[a]
-            for b in range(n):
-                if le[a, b] and join_idx[a, prime[b]] < 0:
-                    orth = False
-                if le[pa, b] and meet_idx[a, b] < 0:
-                    orth = False
-        if orth:
-            flags |= FLAG_ORTHOGONAL
-
-        comp = True
-        for x in range(n):
-            px = prime[x]
-            if join_idx[x, px] != top or meet_idx[x, px] != bottom:
-                comp = False
-        if comp:
-            flags |= FLAG_COMPLEMENTED
-
-        anti = True
-        for x in range(n):
-            for y in range(n):
-                if le[x, y] and not le[prime[y], prime[x]]:
-                    anti = False
-        if anti:
-            flags |= FLAG_ANTITONE
-
-        inv = True
-        for x in range(n):
-            if prime[prime[x]] != x:
-                inv = False
-        if inv:
-            flags |= FLAG_INVOLUTION
-
-        if comp and anti and inv:
-            oml = True
-            for x in range(n):
-                for y in range(n):
-                    if le[x, y]:
-                        j1 = join_idx[prime[y], x]
-                        if j1 < 0:
-                            oml = False
-                        else:
-                            j2 = join_idx[x, prime[j1]]
-                            if j2 != y:
-                                oml = False
-            if oml:
-                flags |= FLAG_ORTHOMODULAR
-
-        odot = np.zeros((n, n), np.int64)
-        arrow = np.zeros((n, n), np.int64)
-        min_up = np.zeros((n, n), np.int64)
-        max_l = np.zeros((n, n), np.int64)
-        total = True
-        for x in range(n):
-            px = prime[x]
-            for y in range(n):
-                py = prime[y]
-                for z in range(n):
-                    if le[x, z] and le[py, z]:
-                        is_min = True
-                        for w in range(n):
-                            if w != z and le[x, w] and le[py, w] and le[w, z]:
-                                is_min = False
-                                break
-                        if is_min:
-                            min_up[x, y] |= 1 << z
-                            t = meet_idx[z, y]
-                            if t < 0:
-                                total = False
-                            else:
-                                odot[x, y] |= 1 << t
-                    if le[z, x] and le[z, y]:
-                        is_max = True
-                        for w in range(n):
-                            if w != z and le[w, x] and le[w, y] and le[z, w]:
-                                is_max = False
-                                break
-                        if is_max:
-                            max_l[x, y] |= 1 << z
-                            t = join_idx[z, px]
-                            if t < 0:
-                                total = False
-                            else:
-                                arrow[x, y] |= 1 << t
-        if total:
-            flags |= FLAG_TOTAL
-        if not total:
-            return flags
-
-        a1 = True
-        a2 = True
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    lhs = (odot[x, y] & down[z]) != 0
-                    rhs = (arrow[y, z] & up[x]) != 0
-                    if lhs and not rhs:
-                        a1 = False
-                    if rhs and not lhs:
-                        a2 = False
-        if a1:
-            flags |= FLAG_A1
-        if a2:
-            flags |= FLAG_A2
-
-        c1 = True
-        c2 = True
-        c3 = True
-        c4 = True
-        c5 = True
-        c6 = True
-        for x in range(n):
-            px = prime[x]
-            for y in range(n):
-                py = prime[y]
-                r1 = 0
-                ok = True
-                for t in range(n):
-                    if (odot[x, y] >> t) & 1:
-                        j = join_idx[py, t]
-                        if j < 0:
-                            ok = False
-                        else:
-                            r1 |= 1 << j
-                if not ok:
-                    c1 = False
-                    c2 = False
-                else:
-                    if r1 != min_up[x, y]:
-                        c1 = False
-                    for r in range(n):
-                        if (r1 >> r) & 1 and (down[r] & min_up[x, y]) == 0:
-                            c2 = False
-                if le[px, y]:
-                    m = meet_idx[y, x]
-                    if m < 0 or join_idx[px, m] != y:
-                        c3 = False
-                r2 = 0
-                ok = True
-                for t in range(n):
-                    if (arrow[x, y] >> t) & 1:
-                        m = meet_idx[x, t]
-                        if m < 0:
-                            ok = False
-                        else:
-                            r2 |= 1 << m
-                if not ok:
-                    c4 = False
-                    c5 = False
-                else:
-                    if r2 != max_l[x, y]:
-                        c4 = False
-                    for r in range(n):
-                        if (r2 >> r) & 1 and (up[r] & max_l[x, y]) == 0:
-                            c5 = False
-                if le[x, y]:
-                    j = join_idx[py, x]
-                    if j < 0 or meet_idx[j, y] != x:
-                        c6 = False
-        if c1:
-            flags |= FLAG_COND_I
-        if c2:
-            flags |= FLAG_COND_II
-        if c3:
-            flags |= FLAG_COND_III
-        if c4:
-            flags |= FLAG_COND_IV
-        if c5:
-            flags |= FLAG_COND_V
-        if c6:
-            flags |= FLAG_COND_VI
-        return flags
-
-
-def instance_flags(packed: PackedPoset, prime, backend: str | None = None) -> int:
+def instance_flags(packed: PackedPoset, prime) -> int:
     """Flag bitfield for one (poset, unary map) instance.
 
     a1/a2/condition bits are only populated when FLAG_TOTAL is set; callers
     gate on FLAG_ORTHOGONAL (equivalent by the totality proposition) before
     reading them.
     """
-    pr = np.ascontiguousarray(np.asarray(prime, dtype=np.int8))
-    if pr.shape != (packed.n,):
+    n = packed.n
+    if len(prime) != n:
         raise PosetError("prime map length does not match the carrier")
-    if _resolve(backend) == "numba":
-        return int(
-            _instance_flags_jit(
-                packed.le, packed.join_idx, packed.meet_idx, pr,
-                packed.bottom, packed.top,
-            )
-        )
-    return _instance_flags_numpy(packed, pr)
+    up, down, above = packed.up, packed.down, packed.above
+    join, meet = packed.join, packed.meet
+    rng = range(n)
+    flags = 0
+
+    # a <= b needs a v b' and a' <= b needs a ^ b
+    if all(join[a][prime[b]] is not None for a in rng for b in above[a]) and all(
+        meet[a][b] is not None for a in rng for b in above[prime[a]]
+    ):
+        flags |= FLAG_ORTHOGONAL
+    comp = all(join[x][prime[x]] == packed.top and meet[x][prime[x]] == packed.bottom for x in rng)
+    if comp:
+        flags |= FLAG_COMPLEMENTED
+    anti = all((up[prime[y]] >> prime[x]) & 1 for x in rng for y in above[x])
+    if anti:
+        flags |= FLAG_ANTITONE
+    inv = all(prime[prime[x]] == x for x in rng)
+    if inv:
+        flags |= FLAG_INVOLUTION
+    if comp and anti and inv and _orthomodular(packed, prime):
+        flags |= FLAG_ORTHOMODULAR
+
+    # odot[x][y] lists z ^ y over z in Min U(x, y'), arrow[x][y] lists
+    # z v x' over z in Max L(x, y); repeats are harmless below
+    odot, arrow = [], []
+    for x in rng:
+        mins_x = packed.min_upper_idx[x]
+        maxs_x = packed.max_lower_idx[x]
+        join_px = join[prime[x]]
+        orow = [[meet[y][z] for z in mins_x[prime[y]]] for y in rng]
+        arow = [[join_px[z] for z in maxs_x[y]] for y in rng]
+        if any(None in cell for cell in orow) or any(None in cell for cell in arow):
+            return flags
+        odot.append(orow)
+        arrow.append(arow)
+    flags |= FLAG_TOTAL
+
+    # a1: z above a member of x (.) y implies x below a member of y (->) z;
+    # a2 the converse. Per (x, y), compare the two sets of such z.
+    a1 = a2 = True
+    for y in rng:
+        hit = [0] * n  # hit[t]: the z with t in y (->) z
+        for z in rng:
+            for t in arrow[y][z]:
+                hit[t] |= 1 << z
+        for x in rng:
+            z_odot = 0
+            for t in odot[x][y]:
+                z_odot |= up[t]
+            z_arrow = 0
+            for t in above[x]:
+                z_arrow |= hit[t]
+            if z_odot & ~z_arrow:
+                a1 = False
+            if z_arrow & ~z_odot:
+                a2 = False
+    if a1:
+        flags |= FLAG_A1
+    if a2:
+        flags |= FLAG_A2
+
+    # The up-closure of Min U(x, y') is U(x, y') and the down-closure of
+    # Max L(x, y) is L(x, y), so "every r has some s below (above) it in the
+    # extremal set" in conditions ii and v is containment in U or L.
+    c1 = c2 = c3 = c4 = c5 = c6 = True
+    for x in rng:
+        px = prime[x]
+        for y in rng:
+            py = prime[y]
+            join_py = join[py]
+            r1 = [join_py[t] for t in odot[x][y]]
+            if None in r1:
+                c1 = c2 = False
+            else:
+                r1 = _mask(r1)
+                if r1 != packed.min_upper[x][py]:
+                    c1 = False
+                if r1 & ~(up[x] & up[py]):
+                    c2 = False
+            if (up[px] >> y) & 1:
+                m = meet[y][x]
+                if m is None or join[px][m] != y:
+                    c3 = False
+            meet_x = meet[x]
+            r2 = [meet_x[t] for t in arrow[x][y]]
+            if None in r2:
+                c4 = c5 = False
+            else:
+                r2 = _mask(r2)
+                if r2 != packed.max_lower[x][y]:
+                    c4 = False
+                if r2 & ~(down[x] & down[y]):
+                    c5 = False
+            if (up[x] >> y) & 1:
+                j = join_py[x]
+                if j is None or meet[j][y] != x:
+                    c6 = False
+    for holds, (_, flag) in zip((c1, c2, c3, c4, c5, c6), CONDITION_FLAGS):
+        if holds:
+            flags |= flag
+    return flags
 
 
-# ---------------------------------------------------------------------------
-# labeled order-relation enumeration
-# ---------------------------------------------------------------------------
+def _mask(members) -> int:
+    out = 0
+    for t in members:
+        out |= 1 << t
+    return out
 
 
-def _pair_list(n: int):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+def _orthomodular(packed: PackedPoset, prime) -> bool:
+    """x <= y implies y = x v (y' v x)', every join defined."""
+    join = packed.join
+    for x in range(packed.n):
+        for y in packed.above[x]:
+            j1 = join[prime[y]][x]
+            if j1 is None or join[x][prime[j1]] != y:
+                return False
+    return True
 
 
-def _relation_codes_numpy(n: int) -> np.ndarray:
-    pairs = _pair_list(n)
-    m = len(pairs)
-    total = 3 ** m
-    chunk = 3 ** min(m, 9)
-    weights = (1 << (np.arange(n)[:, None] * n + np.arange(n)[None, :])).astype(np.int64)
-    eye = np.eye(n, dtype=np.bool_)
-    out = []
-    for base in range(0, total, chunk):
-        k = min(chunk, total - base)
-        codes = np.arange(base, base + k, dtype=np.int64)
-        le = np.broadcast_to(eye, (k, n, n)).copy()
-        t = codes.copy()
-        for i, j in pairs:
-            d = t % 3
-            t //= 3
-            le[d == 1, i, j] = True
-            le[d == 2, j, i] = True
-        leu = le.astype(np.uint8)
-        closed = np.matmul(leu, leu) > 0
-        good = ~(closed & ~le).any(axis=(1, 2))
-        kept = le[good]
-        out.append((kept * weights[None, :, :]).sum(axis=(1, 2)))
-    return np.concatenate(out) if out else np.zeros(0, np.int64)
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _relation_codes_jit(n):  # pragma: no cover
-        m = n * (n - 1) // 2
-        pi = np.empty(m, np.int64)
-        pj = np.empty(m, np.int64)
-        k = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                pi[k] = i
-                pj[k] = j
-                k += 1
-        total = 1
-        for _ in range(m):
-            total *= 3
-        out = np.empty(total, np.int64)
-        cnt = 0
-        rows = np.empty(n, np.int64)
-        for code in range(total):
-            for i in range(n):
-                rows[i] = 1 << i
-            c = code
-            for p in range(m):
-                d = c % 3
-                c //= 3
-                if d == 1:
-                    rows[pi[p]] |= 1 << pj[p]
-                elif d == 2:
-                    rows[pj[p]] |= 1 << pi[p]
-            ok = True
-            for i in range(n):
-                acc = 0
-                ri = rows[i]
-                for j in range(n):
-                    if (ri >> j) & 1:
-                        acc |= rows[j]
-                if acc & ~ri:
-                    ok = False
-                    break
-            if ok:
-                packed = 0
-                for i in range(n):
-                    packed |= rows[i] << (i * n)
-                out[cnt] = packed
-                cnt += 1
-        return out[:cnt]
-
-
-def relation_codes(n: int, backend: str | None = None) -> np.ndarray:
+def relation_codes(n: int) -> list[int]:
     """Packed relation codes (bit i*n+j set iff i <= j) of every labeled
-    poset on n elements, in deterministic orientation order."""
+    poset on n elements, in orientation-code order.
+
+    The orientation code of a relation has one base-3 digit per pair i < j,
+    the pairs taken lexicographically from the least significant digit:
+    0 when i and j are incomparable, 1 when i < j, 2 when j < i.
+    """
     if not (1 <= n <= MAX_RELATION_N):
         raise PosetError(f"relation enumeration supports 1 <= n <= {MAX_RELATION_N}")
-    if _resolve(backend) == "numba":
-        return _relation_codes_jit(n)
-    return _relation_codes_numpy(n)
+    return _relation_codes(n)
+
+
+def _relation_codes(n: int) -> list[int]:
+    """Element 0 added to every poset on 1..n-1 (in that poset's order).
+
+    The new element goes above a down-set D and below an up-set U, with D
+    entirely below U. The digits of the pairs (0, j) are the low digits of
+    the orientation code, so the extensions of one poset are sorted by
+    sum(3^j for j in U) + sum(2 * 3^j for j in D), j in base numbering.
+    """
+    if n == 1:
+        return [1]
+    m = n - 1
+    full = (1 << m) - 1
+    pow3 = [0] * (1 << m)  # pow3[S] = sum(3^j for j in S)
+    column = [0] * (1 << m)  # column[S]: bit 0 of the row of each j + 1 in S
+    for s in range(1, 1 << m):
+        j = (s & -s).bit_length() - 1
+        pow3[s] = pow3[s & (s - 1)] + 3 ** j
+        column[s] = column[s & (s - 1)] | 1 << ((j + 1) * n)
+    out = []
+    for base in _relation_codes(m):
+        rows = decode_relation(base, m)
+        shifted = 0
+        for k, row in enumerate(rows):
+            shifted |= row << ((k + 1) * n + 1)
+        # down-sets: no element outside lies below an element inside
+        downsets = [
+            s for s in range(1 << m)
+            if not any(row & s and not (s >> k) & 1 for k, row in enumerate(rows))
+        ]
+        extensions = []
+        for d in downsets:
+            allowed = full & ~d
+            for k in range(m):
+                if (d >> k) & 1:
+                    allowed &= rows[k]
+            for complement in downsets:
+                u = full ^ complement
+                if not u & ~allowed:
+                    extensions.append((pow3[u] + 2 * pow3[d], d, u))
+        extensions.sort()
+        for _, d, u in extensions:
+            out.append(shifted | column[d] | 1 | u << 1)
+    return out
 
 
 def decode_relation(code: int, n: int) -> tuple[int, ...]:
     mask = (1 << n) - 1
-    return tuple((int(code) >> (i * n)) & mask for i in range(n))
+    return tuple((code >> (i * n)) & mask for i in range(n))

@@ -59,10 +59,10 @@ class Poset:
     ``up[i]`` is the mask of all j with i <= j (including i itself) and
     ``down[i]`` the mask of all j with j <= i. The constructor validates
     reflexivity, antisymmetry, transitivity and the existence of a least
-    and greatest element.
+    and greatest element. The join and meet tables are built on first use.
     """
 
-    __slots__ = ("names", "n", "up", "down", "bottom", "top", "full", "_index")
+    __slots__ = ("names", "n", "up", "down", "bottom", "top", "full", "_index", "_joins", "_meets")
 
     def __init__(self, names: Sequence[str], up_rows: Sequence[int]):
         names = tuple(names)
@@ -107,14 +107,10 @@ class Poset:
         self.top = tops[0]
         self.full = full
         self._index = {s: i for i, s in enumerate(names)}
+        self._joins = None
+        self._meets = None
 
     # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_le(cls, names: Sequence[str], le) -> "Poset":
-        """Build from an n x n truth matrix with le[i][j] meaning i <= j."""
-        rows = [mask_of(j for j, v in enumerate(r) if v) for r in le]
-        return cls(names, rows)
 
     @classmethod
     def from_covers(cls, names: Sequence[str], covers: Iterable[tuple[int, int]]) -> "Poset":
@@ -205,18 +201,25 @@ class Poset:
 
     # -- partial lattice operations ----------------------------------------
 
+    @property
+    def join_table(self) -> tuple[tuple[Optional[int], ...], ...]:
+        """``join_table[x][y]`` is the join of x and y, or None."""
+        if self._joins is None:
+            self._joins = _bound_table(self.up)
+        return self._joins
+
+    @property
+    def meet_table(self) -> tuple[tuple[Optional[int], ...], ...]:
+        if self._meets is None:
+            self._meets = _bound_table(self.down)
+        return self._meets
+
     def join(self, x: int, y: int) -> Optional[int]:
         """Least upper bound, or None when no unique one exists."""
-        mins = self.minimal(self.up[x] & self.up[y])
-        if mins and mins == mins & -mins:
-            return mins.bit_length() - 1
-        return None
+        return self.join_table[x][y]
 
     def meet(self, x: int, y: int) -> Optional[int]:
-        maxs = self.maximal(self.down[x] & self.down[y])
-        if maxs and maxs == maxs & -maxs:
-            return maxs.bit_length() - 1
-        return None
+        return self.meet_table[x][y]
 
     def interval(self, a: int, b: int) -> int:
         if not self.le(a, b):
@@ -261,6 +264,16 @@ class Poset:
 
     def __repr__(self) -> str:
         return f"Poset({len(self.names)} elements: {', '.join(self.names)})"
+
+
+def _bound_table(rows: tuple[int, ...]) -> tuple[tuple[Optional[int], ...], ...]:
+    """Per pair x, y: the element whose row is ``rows[x] & rows[y]``, or None.
+
+    On up rows this is the join: the least element of U(x, y) is the one
+    element whose up-set is all of U(x, y). On down rows it is the meet.
+    """
+    index = {row: i for i, row in enumerate(rows)}
+    return tuple(tuple(index.get(a & b) for b in rows) for a in rows)
 
 
 class OpPoset:

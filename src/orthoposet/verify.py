@@ -277,18 +277,9 @@ def _criterion_6(progress: Progress) -> tuple[bool, str]:
     for inst in instances[::53]:
         op = OpPoset(inst.poset, inst.prime)
         rep = is_adjoint_pair(op)
-        bits_want = [
-            (kernels.FLAG_A1, rep.a1),
-            (kernels.FLAG_A2, rep.a2),
-            (kernels.FLAG_COND_I, rep.conditions["i"]),
-            (kernels.FLAG_COND_II, rep.conditions["ii"]),
-            (kernels.FLAG_COND_III, rep.conditions["iii"]),
-            (kernels.FLAG_COND_IV, rep.conditions["iv"]),
-            (kernels.FLAG_COND_V, rep.conditions["v"]),
-            (kernels.FLAG_COND_VI, rep.conditions["vi"]),
-        ]
-        for flag, want in bits_want:
-            if bool(inst.bits & flag) != want:
+        want = {"a1": rep.a1, "a2": rep.a2, **rep.conditions}
+        for name, flag in kernels.FLAG_NAMES + kernels.CONDITION_FLAGS:
+            if name in want and bool(inst.bits & flag) != want[name]:
                 return False, f"kernel/core disagreement on n={inst.n} prime={inst.prime}"
         replayed += 1
     return True, f"{len(instances)} instances, equivalences hold; {replayed} replayed on the slow path"

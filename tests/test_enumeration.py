@@ -173,6 +173,9 @@ def test_goal_validation():
         SearchGoal(require=frozenset({"modular"}), forbid=frozenset({"modular"}))
     with pytest.raises(PosetError, match="max_n"):
         SearchGoal(max_n=0)
+    for limit in (0, -1):  # used to yield one hit before the limit was checked
+        with pytest.raises(PosetError, match="limit"):
+            SearchGoal(limit=limit)
 
 
 def test_search_finds_non_involutive_adjoint_instances():

@@ -351,6 +351,14 @@ def test_cli_search_bad_flag(capsys):
     assert "unknown search flags" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limit", ["0", "-2"])
+def test_cli_search_rejects_limit_below_one(limit, capsys):
+    assert main(["search", "--limit", limit]) == 2
+    captured = capsys.readouterr()
+    assert "limit must be at least 1" in captured.err
+    assert "match(es)" not in captured.out
+
+
 def test_cli_dot(tmp_path, capsys):
     ex1 = fixture_path(tmp_path, "ex1.poset")
     target = tmp_path / "out.gv"
@@ -364,6 +372,14 @@ def test_cli_verify_paper_subset(capsys):
     assert main(["verify-paper", "--criteria", "1,2,3"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 3
+
+
+@pytest.mark.parametrize("criteria, bad", [("99", "'99'"), ("x", "'x'"), ("1,99", "'99'"), ("1,,2", "''")])
+def test_cli_verify_paper_unknown_criterion(criteria, bad, capsys):
+    assert main(["verify-paper", "--criteria", criteria]) == 2
+    captured = capsys.readouterr()
+    assert f"unknown criterion {bad}" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_cli_missing_file(capsys):

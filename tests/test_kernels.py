@@ -1,36 +1,43 @@
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from orthoposet import kernels
 from orthoposet.adjoint import is_adjoint_pair
 from orthoposet.enumeration import enumerate_posets, instance_flag_map
-from orthoposet.poset_core import OpPoset, PosetError
+from orthoposet.poset_core import CARRIER_CAP, OpPoset, Poset, PosetError, indices_of
 
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAVE_NUMBA else [])
+CORE_FLAGS = kernels.FLAG_NAMES
 
-CORE_FLAGS = (
-    ("orthogonal", kernels.FLAG_ORTHOGONAL),
-    ("total", kernels.FLAG_TOTAL),
-    ("complemented", kernels.FLAG_COMPLEMENTED),
-    ("antitone", kernels.FLAG_ANTITONE),
-    ("involution", kernels.FLAG_INVOLUTION),
-    ("orthomodular", kernels.FLAG_ORTHOMODULAR),
-    ("a1", kernels.FLAG_A1),
-    ("a2", kernels.FLAG_A2),
-)
+# Digests taken from the numpy evaluator this module replaced: the relation
+# codes of every labeled poset on n elements, in order ...
+RELATION_CODE_SHA256 = {
+    5: "0fb73ff904fe0948ff7239a2c6bb841a03118db0e4af064abdd732ed49d025e8",
+    6: "692d3a8ba65469f2e675a4c094d99d7a1785d12bbc5ada27903e86ce58cf8bce",
+}
+# ... and the sorted (up rows, prime, flag bits) rows of every unary map on
+# every bounded poset with n <= 4.
+ALL_MAPS_N4_ROWS = 9387
+ALL_MAPS_N4_SHA256 = "9273196da721f5ec763bc3c8a2b9577b9a09d91f417e912d8052a42e0e18c938"
+
+
+def _core_bits(op: OpPoset) -> dict[str, bool]:
+    """Every flag bit's value, from the core deciders."""
+    want = dict(instance_flag_map(op))
+    if want["orthogonal"]:
+        want.update(is_adjoint_pair(op).conditions)
+    return want
 
 
 def test_active_backend_is_valid():
-    assert kernels.active_backend() in ("numba", "numpy")
-
-
-def test_unknown_backend_rejected(ex1):
-    packed = kernels.pack_poset(ex1.poset)
-    with pytest.raises(PosetError, match="backend"):
-        kernels.instance_flags(packed, ex1.prime, backend="fortran")
+    assert kernels.active_backend() == "python"
+    assert kernels.HAVE_NUMBA is False
 
 
 def test_pack_poset_tables(ex1):
@@ -39,14 +46,19 @@ def test_pack_poset_tables(ex1):
     assert packed.n == p.n
     assert packed.bottom == p.bottom and packed.top == p.top
     for i in range(p.n):
+        assert packed.above[i] == indices_of(p.up[i])
         for j in range(p.n):
-            assert bool(packed.le[i, j]) == p.le(i, j)
-            assert packed.join_idx[i, j] == (p.join(i, j) if p.join(i, j) is not None else -1)
-            assert packed.meet_idx[i, j] == (p.meet(i, j) if p.meet(i, j) is not None else -1)
+            mins = p.minimal(p.up[i] & p.up[j])
+            maxs = p.maximal(p.down[i] & p.down[j])
+            assert packed.join[i][j] == (mins.bit_length() - 1 if mins & (mins - 1) == 0 else None)
+            assert packed.meet[i][j] == (maxs.bit_length() - 1 if maxs & (maxs - 1) == 0 else None)
+            assert packed.min_upper[i][j] == mins
+            assert packed.min_upper_idx[i][j] == indices_of(mins)
+            assert packed.max_lower[i][j] == maxs
+            assert packed.max_lower_idx[i][j] == indices_of(maxs)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_flags_match_core_deciders(backend):
+def test_flags_match_core_deciders():
     rng = random.Random(3)
     for n in range(1, 5):
         for p in enumerate_posets(n):
@@ -56,30 +68,45 @@ def test_flags_match_core_deciders(backend):
             else:
                 maps = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(12)]
             for prime in maps:
-                bits = kernels.instance_flags(packed, prime, backend=backend)
+                bits = kernels.instance_flags(packed, prime)
                 op = OpPoset(p, prime)
                 core = instance_flag_map(op)
                 for name, flag in CORE_FLAGS:
-                    assert bool(bits & flag) == core[name], (n, prime, name, backend)
+                    assert bool(bits & flag) == core[name], (n, prime, name)
                 if core["orthogonal"]:
                     rep = is_adjoint_pair(op)
                     for key, flag in kernels.CONDITION_FLAGS:
                         assert bool(bits & flag) == rep.conditions[key], (n, prime, key)
 
 
-def test_flags_on_fixtures_both_backends(fixture_ops):
-    for name, op in fixture_ops.items():
-        packed = kernels.pack_poset(op.poset)
-        results = {b: kernels.instance_flags(packed, op.prime, backend=b) for b in BACKENDS}
-        assert len(set(results.values())) == 1, (name, results)
+def test_flags_on_fixtures_match_core(fixture_ops, butterfly):
+    for name, op in {**fixture_ops, "butterfly": butterfly}.items():
+        bits = kernels.instance_flags(kernels.pack_poset(op.poset), op.prime)
+        want = _core_bits(op)
+        for key, flag in CORE_FLAGS + kernels.CONDITION_FLAGS:
+            assert bool(bits & flag) == want.get(key, False), (name, key)
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not importable")
-def test_backends_agree_on_relation_codes():
-    for n in range(1, 6):
-        a = kernels.relation_codes(n, backend="numba")
-        b = kernels.relation_codes(n, backend="numpy")
-        assert list(a) == list(b)
+def test_flags_pinned_on_every_map_up_to_n4():
+    rows = []
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            packed = kernels.pack_poset(p)
+            for prime in itertools.product(range(n), repeat=n):
+                rows.append((p.up, prime, kernels.instance_flags(packed, prime)))
+    assert len(rows) == ALL_MAPS_N4_ROWS
+    h = hashlib.sha256()
+    for row in sorted(rows):
+        h.update(repr(row).encode())
+    assert h.hexdigest() == ALL_MAPS_N4_SHA256
+
+
+@pytest.mark.parametrize("n", sorted(RELATION_CODE_SHA256))
+def test_relation_codes_pinned(n):
+    codes = kernels.relation_codes(n)
+    assert type(codes) is list
+    digest = hashlib.sha256(",".join(map(str, codes)).encode()).hexdigest()
+    assert digest == RELATION_CODE_SHA256[n]
 
 
 def test_relation_codes_counts_and_caps():
@@ -93,11 +120,11 @@ def test_relation_codes_counts_and_caps():
 def test_decode_relation_roundtrip():
     for n in range(1, 5):
         for code in kernels.relation_codes(n):
-            rows = kernels.decode_relation(int(code), n)
+            rows = kernels.decode_relation(code, n)
             packed = 0
             for i, row in enumerate(rows):
                 packed |= row << (i * n)
-            assert packed == int(code)
+            assert packed == code
 
 
 def test_prime_shape_validation(ex1):
@@ -106,13 +133,16 @@ def test_prime_shape_validation(ex1):
         kernels.instance_flags(packed, (0, 1))
 
 
-def test_pack_poset_word_width_guard():
-    from orthoposet.poset_core import Poset
-
-    names = tuple(f"e{i}" for i in range(63))
-    chain = Poset.from_covers(names, [(i, i + 1) for i in range(62)])
-    with pytest.raises(PosetError, match="62"):
-        kernels.pack_poset(chain)
+def test_pack_poset_at_the_carrier_cap():
+    names = tuple(f"e{i}" for i in range(CARRIER_CAP))
+    chain = Poset.from_covers(names, [(i, i + 1) for i in range(CARRIER_CAP - 1)])
+    packed = kernels.pack_poset(chain)
+    assert packed.join[3][60] == 60 and packed.meet[3][60] == 3
+    prime = tuple(reversed(range(CARRIER_CAP)))
+    bits = kernels.instance_flags(packed, prime)
+    want = {"orthogonal", "total", "antitone", "involution"}
+    for name, flag in CORE_FLAGS:
+        assert bool(bits & flag) == (name in want), name
 
 
 def test_flags_gate_on_totality(butterfly):
@@ -124,3 +154,13 @@ def test_flags_gate_on_totality(butterfly):
     for _, flag in kernels.CONDITION_FLAGS:
         assert not bits & flag
     assert not bits & kernels.FLAG_A1 and not bits & kernels.FLAG_A2
+
+
+def test_import_loads_neither_numpy_nor_numba():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", "import orthoposet, sys; assert not {'numpy','numba'} & set(sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )

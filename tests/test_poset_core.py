@@ -147,6 +147,15 @@ def test_join_meet(ex1):
         assert p.meet(x, p.bottom) == p.bottom
 
 
+def test_join_meet_tables_built_on_first_use(ex1):
+    p = Poset(ex1.poset.names, ex1.poset.up)
+    assert p._joins is None and p._meets is None
+    assert p.join(p.index("a"), p.index("e")) == p.index("1")
+    assert p._joins is p.join_table and p._meets is None
+    assert p.meet(p.index("c"), p.index("e")) == p.index("0")
+    assert p._meets is p.meet_table
+
+
 def test_interval(ex1):
     p = ex1.poset
     assert p.names_of(p.interval(p.index("0"), p.index("c"))) == ("0", "a", "b", "c")
