@@ -8,15 +8,13 @@ analysis of the operation pair, and exhaustive model search at desk scale.
 from .adjoint import (
     CONDITION_KEYS,
     AdjointReport,
-    check_a1,
-    check_a2,
     check_adjointness_consequences,
     check_condition,
+    check_directions,
     check_modular_corollary,
+    direction_sides,
     find_o6_subalgebra,
     is_adjoint_pair,
-    validate_a1_witness,
-    validate_a2_witness,
 )
 from .enumeration import (
     SEARCH_FLAGS,
@@ -25,7 +23,6 @@ from .enumeration import (
     complement_candidates,
     enumerate_posets,
     enumerate_relations,
-    enumerate_unary_ops,
     instance_flag_map,
     search,
 )
@@ -66,13 +63,11 @@ from .sasaki import (
     OpTable,
     arrow,
     check_projection_laws,
-    check_unit_identities,
     is_sasaki_total,
     odot,
     op_tables,
     sasaki_proj,
     sasaki_proj_dual,
-    sasaki_proj_dual_set,
     sasaki_proj_set,
 )
 

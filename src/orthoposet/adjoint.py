@@ -48,41 +48,42 @@ def _tables(op: OpPoset):
     return ot.cells, at.cells
 
 
-def check_a1(op: OpPoset, _cells=None) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """Forward direction; returns (holds, first violating triple)."""
+def check_directions(op: OpPoset, cells=None):
+    """Both directions in one x, y, z pass.
+
+    Returns ((a1 holds, first a1 violation), (a2 holds, first a2
+    violation)); the pass stops once both directions have failed.
+    """
     p = op.poset
-    ocells, acells = _cells if _cells is not None else _tables(op)
+    ocells, acells = cells if cells is not None else _tables(op)
+    w1 = w2 = None
     for x in range(p.n):
+        up_x = p.up[x]
         for y in range(p.n):
+            odot_xy = ocells[x][y]
+            arrow_y = acells[y]
             for z in range(p.n):
-                if ocells[x][y] & p.down[z] and not acells[y][z] & p.up[x]:
-                    return False, (x, y, z)
-    return True, None
+                below = bool(odot_xy & p.down[z])
+                if below == bool(arrow_y[z] & up_x):
+                    continue
+                if below:
+                    w1 = w1 or (x, y, z)
+                else:
+                    w2 = w2 or (x, y, z)
+                if w1 and w2:
+                    return (False, w1), (False, w2)
+    return (w1 is None, w1), (w2 is None, w2)
 
 
-def check_a2(op: OpPoset, _cells=None) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """Backward direction; returns (holds, first violating triple)."""
-    p = op.poset
-    ocells, acells = _cells if _cells is not None else _tables(op)
-    for x in range(p.n):
-        for y in range(p.n):
-            for z in range(p.n):
-                if acells[y][z] & p.up[x] and not ocells[x][y] & p.down[z]:
-                    return False, (x, y, z)
-    return True, None
+def direction_sides(op: OpPoset, triple: tuple[int, int, int]) -> tuple[bool, bool]:
+    """Both sides of the adjunction at (x, y, z), recomputed from odot/arrow.
 
-
-def validate_a2_witness(op: OpPoset, triple: tuple[int, int, int]) -> bool:
-    """Replay a triple against the backward implication; True if it violates."""
+    Returns (x (.) y lower-covers {z}, {x} upper-covered by y (->) z): an a1
+    violation reads (True, False), an a2 violation (False, True).
+    """
     x, y, z = triple
     p = op.poset
-    return bool(arrow(op, y, z) & p.up[x]) and not bool(odot(op, x, y) & p.down[z])
-
-
-def validate_a1_witness(op: OpPoset, triple: tuple[int, int, int]) -> bool:
-    x, y, z = triple
-    p = op.poset
-    return bool(odot(op, x, y) & p.down[z]) and not bool(arrow(op, y, z) & p.up[x])
+    return bool(odot(op, x, y) & p.down[z]), bool(arrow(op, y, z) & p.up[x])
 
 
 def check_condition(op: OpPoset, which: str, _cells=None) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -149,8 +150,7 @@ def check_condition(op: OpPoset, which: str, _cells=None) -> tuple[bool, Optiona
 
 def is_adjoint_pair(op: OpPoset) -> AdjointReport:
     cells = _tables(op)
-    a1, w1 = check_a1(op, cells)
-    a2, w2 = check_a2(op, cells)
+    (a1, w1), (a2, w2) = check_directions(op, cells)
     conds = {}
     cw = {}
     for key in CONDITION_KEYS:
@@ -169,8 +169,7 @@ def check_adjointness_consequences(op: OpPoset) -> PropertyReport:
     """
     p = op.poset
     cells = _tables(op)
-    a1, _ = check_a1(op, cells)
-    a2, _ = check_a2(op, cells)
+    (a1, _), (a2, _) = check_directions(op, cells)
     if a1:
         for x in range(p.n):
             if p.join(x, op.prime[x]) != p.top:

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from . import kernels
-from .poset_core import OpPoset, Poset, PosetError, iter_mask
+from .adjoint import check_directions
+from .poset_core import OpPoset, Poset, PosetError, UndefinedOperationError, iter_mask
 from .properties import (
     PROPERTY_NAMES,
     is_antitone,
@@ -25,12 +26,11 @@ from .properties import (
     is_orthomodular,
     is_saturated,
 )
+from .sasaki import op_tables
 
 MAX_BOUNDED_N = 8
 
 SEARCH_FLAGS = PROPERTY_NAMES + ("total", "a1", "a2", "adjoint")
-
-UNARY_FILTERS = ("all", "complementations", "orthogonal_complementations")
 
 
 def enumerate_relations(n: int) -> Iterator[tuple[int, ...]]:
@@ -86,28 +86,6 @@ def complement_candidates(p: Poset) -> list[list[int]]:
     return out
 
 
-def enumerate_unary_ops(p: Poset, which: str = "all") -> Iterator[OpPoset]:
-    """All unary maps on a carrier, optionally filtered.
-
-    "complementations" walks only the maps sending every element to one of
-    its complements; "orthogonal_complementations" additionally filters by
-    the orthogonality decider.
-    """
-    if which not in UNARY_FILTERS:
-        raise PosetError(f"unknown unary filter {which!r}")
-    if which == "all":
-        for prime in itertools.product(range(p.n), repeat=p.n):
-            yield OpPoset(p, prime)
-        return
-    candidates = complement_candidates(p)
-    if any(not c for c in candidates):
-        return
-    for prime in itertools.product(*candidates):
-        op = OpPoset(p, prime)
-        if which == "complementations" or is_orthogonal(op).holds:
-            yield op
-
-
 @dataclass(frozen=True)
 class SearchGoal:
     """What to hunt for: required flags, forbidden flags, carrier bound."""
@@ -139,9 +117,6 @@ def instance_flag_map(op: OpPoset) -> dict[str, bool]:
     """Flag values for one instance, recomputed from scratch with the core
     deciders (the slow, witness-producing route). Used to replay search hits."""
     p = op.poset
-    from .adjoint import check_a1, check_a2  # local import to avoid a cycle
-    from .sasaki import is_sasaki_total
-
     flags = {
         "saturated": is_saturated(p).holds,
         "modular": is_modular(p).holds,
@@ -151,13 +126,15 @@ def instance_flag_map(op: OpPoset) -> dict[str, bool]:
         "antitone": is_antitone(op).holds,
         "involution": is_involution(op).holds,
         "orthomodular": is_orthomodular(op).holds,
-        "total": is_sasaki_total(op),
     }
-    if flags["total"]:
-        a1 = check_a1(op)[0]
-        a2 = check_a2(op)[0]
+    try:
+        odot_table, arrow_table = op_tables(op)
+    except UndefinedOperationError:
+        a1 = a2 = total = False
     else:
-        a1 = a2 = False
+        (a1, _), (a2, _) = check_directions(op, (odot_table.cells, arrow_table.cells))
+        total = True
+    flags["total"] = total
     flags["a1"] = a1
     flags["a2"] = a2
     flags["adjoint"] = a1 and a2
@@ -197,20 +174,17 @@ def search(goal: SearchGoal) -> Iterator[OpPoset]:
     Flags a1/a2/adjoint are False wherever the operations are not total
     (nothing to be adjoint about). Complementation maps are enumerated
     exhaustively when the goal requires "complemented"; otherwise all maps
-    for n <= 4 and a seeded sample per poset above that.
+    for n <= 4 and a seeded sample per poset above that. The poset-level
+    deciders (saturated, modular, lattice) run only when the goal names them.
     """
     found = 0
-    poset_level = {"saturated", "modular", "lattice"}
+    # looked up per call, so a rebound module-global decider is the one run
+    deciders = {"saturated": is_saturated, "modular": is_modular, "lattice": is_lattice}
+    named = [f for f in deciders if f in goal.require | goal.forbid]
     for n in range(1, goal.max_n + 1):
         for idx, p in enumerate(enumerate_posets(n)):
-            poset_flags = {
-                "saturated": is_saturated(p).holds,
-                "modular": is_modular(p).holds,
-                "lattice": is_lattice(p).holds,
-            }
-            if any(not poset_flags[f] for f in goal.require & poset_level):
-                continue
-            if any(poset_flags[f] for f in goal.forbid & poset_level):
+            poset_flags = {f: deciders[f](p).holds for f in named}
+            if any(poset_flags[f] != (f in goal.require) for f in named):
                 continue
             packed = kernels.pack_poset(p)
             for prime in _goal_maps(p, goal, idx):

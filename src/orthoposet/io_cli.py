@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -67,11 +68,10 @@ def parse_poset(text: str) -> PosetDocument:
     stage = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        if not line.strip():
+        spans = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+        if not spans:
             continue
-        tokens = line.split()
-        keyword = tokens[0]
-        col = line.index(keyword) + 1
+        keyword, col = spans[0]
         if keyword not in _SECTION_ORDER:
             raise ParseError(lineno, col, f"unknown section {keyword!r}")
         idx = _SECTION_ORDER.index(keyword)
@@ -80,22 +80,21 @@ def parse_poset(text: str) -> PosetDocument:
         if keyword in ("poset", "elements") and idx == stage:
             raise ParseError(lineno, col, f"duplicate section {keyword!r}")
         stage = idx
-        body = tokens[1:]
+        body = spans[1:]
         if keyword == "poset":
             if len(body) != 1:
                 raise ParseError(lineno, col, "poset section expects exactly one name")
-            name = body[0]
+            name = body[0][0]
         elif keyword == "elements":
-            for tok in body:
-                label = _check_label(tok, lineno, line.index(tok) + 1)
+            for tok, tcol in body:
+                label = _check_label(tok, lineno, tcol)
                 if label in elements:
-                    raise ParseError(lineno, line.index(tok) + 1, f"duplicate element {label!r}")
+                    raise ParseError(lineno, tcol, f"duplicate element {label!r}")
                 elements.append(label)
             if not elements:
                 raise ParseError(lineno, col, "elements section is empty")
         elif keyword == "covers":
-            for tok in body:
-                tcol = line.index(tok) + 1
+            for tok, tcol in body:
                 if tok.count("<") != 1:
                     raise ParseError(lineno, tcol, f"cover {tok!r} must be A<B")
                 a, b = tok.split("<")
@@ -107,8 +106,7 @@ def parse_poset(text: str) -> PosetDocument:
                 covers.append((a, b))
         else:
             seen_prime = True
-            for tok in body:
-                tcol = line.index(tok) + 1
+            for tok, tcol in body:
                 if tok.count(":") != 1:
                     raise ParseError(lineno, tcol, f"prime entry {tok!r} must be A:B")
                 a, b = tok.split(":")
@@ -225,13 +223,18 @@ def render_table(table: OpTable, fmt: str = "text") -> str:
     raise PosetError(f"unknown table format {fmt!r}")
 
 
+def _dot_id(name: str) -> str:
+    """A label as a quoted DOT identifier."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(p: Poset) -> str:
     """DOT digraph of the cover relation, bottom ranked lowest."""
     lines = ["digraph poset {", "  rankdir=BT;", "  node [shape=plaintext];"]
     for name in p.names:
-        lines.append(f'  "{name}";')
+        lines.append(f"  {_dot_id(name)};")
     for i, j in sorted(p.covers()):
-        lines.append(f'  "{p.names[i]}" -> "{p.names[j]}";')
+        lines.append(f"  {_dot_id(p.names[i])} -> {_dot_id(p.names[j])};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -378,17 +381,25 @@ def _cmd_tables(args) -> int:
     return 0
 
 
-def _cmd_adjoint(args) -> int:
-    doc = _load_for_cli(args.file)
-    op = document_to_op(doc)
-    p = op.poset
+def _load_directions(args):
+    """Load the file's instance and print both directions; None, with the
+    reason on stderr, when the operations are undefined."""
+    op = document_to_op(_load_for_cli(args.file))
     try:
         rep = is_adjoint_pair(op)
     except UndefinedOperationError as exc:
         print(f"operations undefined ({exc}); the poset is not orthogonal", file=sys.stderr)
-        return 1
+        return None
     print(f"a1: {str(rep.a1).lower()}")
     print(f"a2: {str(rep.a2).lower()}")
+    return op.poset, rep
+
+
+def _cmd_adjoint(args) -> int:
+    loaded = _load_directions(args)
+    if loaded is None:
+        return 1
+    p, rep = loaded
     if args.witness:
         if rep.a1_witness:
             print("a1 witness:", ", ".join(p.names[i] for i in rep.a1_witness))
@@ -399,16 +410,10 @@ def _cmd_adjoint(args) -> int:
 
 
 def _cmd_thm1(args) -> int:
-    doc = _load_for_cli(args.file)
-    op = document_to_op(doc)
-    p = op.poset
-    try:
-        rep = is_adjoint_pair(op)
-    except UndefinedOperationError as exc:
-        print(f"operations undefined ({exc}); the poset is not orthogonal", file=sys.stderr)
+    loaded = _load_directions(args)
+    if loaded is None:
         return 1
-    print(f"a1: {str(rep.a1).lower()}")
-    print(f"a2: {str(rep.a2).lower()}")
+    p, rep = loaded
     for key in CONDITION_KEYS:
         line = f"({key}): {str(rep.conditions[key]).lower()}"
         wit = rep.condition_witnesses[key]
@@ -498,7 +503,7 @@ def _cmd_verify_paper(args) -> int:
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"[{r.number:2d}/12] {status} {r.name} ({r.seconds:.2f}s) {r.detail}")
+        print(f"[{r.number:2d}/{len(verify.CRITERIA)}] {status} {r.name} ({r.seconds:.2f}s) {r.detail}")
     return 1 if failed else 0
 
 

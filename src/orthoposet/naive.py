@@ -56,18 +56,6 @@ def minimal(rel, subset) -> tuple[int, ...]:
     )
 
 
-def leq1(rel, a, b) -> bool:
-    return all(any((x, y) in rel for y in b) for x in a)
-
-
-def leq2(rel, a, b) -> bool:
-    return all(any((x, y) in rel for x in a) for y in b)
-
-
-def leq_sets(rel, a, b) -> bool:
-    return all((x, y) in rel for x in a for y in b)
-
-
 def join(rel, n: int, x: int, y: int) -> Optional[int]:
     mins = minimal(rel, upper(rel, n, (x, y)))
     return mins[0] if len(mins) == 1 else None

@@ -187,10 +187,6 @@ class Poset:
 
     # -- set comparisons ---------------------------------------------------
 
-    def leq_sets(self, a: int, b: int) -> bool:
-        """Every element of a below every element of b (vacuous on empties)."""
-        return all(b & ~self.up[i] == 0 for i in iter_mask(a))
-
     def leq1(self, a: int, b: int) -> bool:
         """Every element of a has an upper bound in b."""
         return all(self.up[i] & b for i in iter_mask(a))
@@ -303,10 +299,6 @@ class OpPoset:
             missing = [poset.names[i] for i, v in enumerate(prime) if v < 0]
             raise PosetError(f"unary operation is partial; missing {', '.join(missing)}")
         return cls(poset, prime)
-
-    def prime_mask(self, mask: int) -> int:
-        """Image of a subset under the unary operation."""
-        return mask_of(self.prime[i] for i in iter_mask(mask))
 
     def __eq__(self, other) -> bool:
         return (

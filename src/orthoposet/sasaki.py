@@ -73,59 +73,22 @@ def sasaki_proj_set(op: OpPoset, a: int, subset: int) -> int:
     return out
 
 
-def sasaki_proj_dual_set(op: OpPoset, a: int, subset: int) -> int:
-    out = 0
-    for x in iter_mask(subset):
-        out |= sasaki_proj_dual(op, a, x)
-    return out
-
-
-def is_sasaki_total(op: OpPoset) -> bool:
-    """True when every cell of both operation tables has all bounds defined."""
-    p = op.poset
-    for x in range(p.n):
-        for y in range(p.n):
-            for m in iter_mask(p.minimal(p.up[x] & p.up[op.prime[y]])):
-                if p.meet(m, y) is None:
-                    return False
-            for m in iter_mask(p.maximal(p.down[x] & p.down[y])):
-                if p.join(op.prime[x], m) is None:
-                    return False
-    return True
-
-
 def op_tables(op: OpPoset) -> tuple[OpTable, OpTable]:
+    """Both operation tables; raises UndefinedOperationError on the first
+    cell that needs a missing meet or join."""
     p = op.poset
     ocells = tuple(tuple(odot(op, x, y) for y in range(p.n)) for x in range(p.n))
     acells = tuple(tuple(arrow(op, x, y) for y in range(p.n)) for x in range(p.n))
     return OpTable("odot", p, ocells), OpTable("arrow", p, acells)
 
 
-def check_unit_identities(op: OpPoset) -> PropertyReport:
-    """Boundary behaviour of both operations on any bounded carrier.
-
-    top (.) x = {x}; bottom (->) x = {bottom'}; x (->) bottom = {x'};
-    x (.) bottom = {bottom}. All four are total on bounded posets.
-    """
-    p = op.poset
-    for x in range(p.n):
-        if odot(op, p.top, x) != 1 << x:
-            return PropertyReport(
-                "unit_identities", False, Witness((x,), "top_odot_not_identity")
-            )
-        if arrow(op, p.bottom, x) != 1 << op.prime[p.bottom]:
-            return PropertyReport(
-                "unit_identities", False, Witness((x,), "bottom_arrow_not_constant")
-            )
-        if arrow(op, x, p.bottom) != 1 << op.prime[x]:
-            return PropertyReport(
-                "unit_identities", False, Witness((x,), "arrow_to_bottom_not_complement")
-            )
-        if odot(op, x, p.bottom) != 1 << p.bottom:
-            return PropertyReport(
-                "unit_identities", False, Witness((x,), "odot_bottom_not_annihilating")
-            )
-    return PropertyReport("unit_identities", True)
+def is_sasaki_total(op: OpPoset) -> bool:
+    """True when every cell of both operation tables is defined."""
+    try:
+        op_tables(op)
+    except UndefinedOperationError:
+        return False
+    return True
 
 
 def _sample_subsets(p: Poset, exhaustive: bool) -> list[int]:

@@ -19,10 +19,9 @@ from . import kernels, naive
 from .adjoint import (
     check_adjointness_consequences,
     check_modular_corollary,
+    direction_sides,
     find_o6_subalgebra,
     is_adjoint_pair,
-    validate_a1_witness,
-    validate_a2_witness,
 )
 from .enumeration import complement_candidates, enumerate_posets, enumerate_relations
 from .poset_core import OpPoset, Poset, UndefinedOperationError, indices_of
@@ -190,7 +189,7 @@ def _criterion_2(progress: Progress) -> tuple[bool, str]:
     if rep.adjoint:
         return False, "expected no adjoint pair"
     triple = (p.index("1"), p.index("c"), p.index("a"))
-    if not validate_a2_witness(op, triple):
+    if direction_sides(op, triple) != (False, True):
         return False, "(1, c, a) does not replay as an a2 violation"
     return True, "profile and (1, c, a) witness confirmed"
 
@@ -250,9 +249,9 @@ def _criterion_5(progress: Progress) -> tuple[bool, str]:
     rep = is_adjoint_pair(op)
     if rep.adjoint:
         return False, "expected no adjoint pair"
-    if rep.a1_witness is not None and not validate_a1_witness(op, rep.a1_witness):
+    if rep.a1_witness is not None and direction_sides(op, rep.a1_witness) != (True, False):
         return False, "a1 witness does not replay"
-    if rep.a2_witness is not None and not validate_a2_witness(op, rep.a2_witness):
+    if rep.a2_witness is not None and direction_sides(op, rep.a2_witness) != (False, True):
         return False, "a2 witness does not replay"
     if rep.a1_witness is None and rep.a2_witness is None:
         return False, "no witness returned"

@@ -1,21 +1,32 @@
+import hashlib
+import itertools
+
 import pytest
 
 from orthoposet.adjoint import (
     CONDITION_KEYS,
-    check_a1,
-    check_a2,
     check_adjointness_consequences,
     check_condition,
+    check_directions,
     check_modular_corollary,
+    direction_sides,
     find_o6_subalgebra,
     is_adjoint_pair,
-    validate_a1_witness,
-    validate_a2_witness,
 )
+from orthoposet.enumeration import complement_candidates, enumerate_posets
 from orthoposet.poset_core import OpPoset, PosetError
 from orthoposet.sasaki import arrow
 
 from conftest import two_chain
+
+A1_VIOLATION = (True, False)
+A2_VIOLATION = (False, True)
+
+# Taken before the two direction checks were merged into one pass: the sorted
+# (up rows, prime, a1, a1 witness, a2, a2 witness) rows of is_adjoint_pair
+# over every unary map with n <= 4 and every complementation with n = 5.
+WITNESS_ROWS = 9787
+WITNESS_SHA256 = "0a98703c83ec66d180539f200d6b7e6d19815d27084b70f4a436e55e773a44c3"
 
 
 def test_ex1_splits_the_two_directions(ex1):
@@ -24,10 +35,10 @@ def test_ex1_splits_the_two_directions(ex1):
     assert not rep.adjoint
     assert rep.a1_witness is None
     assert rep.a2_witness is not None
-    assert validate_a2_witness(ex1, rep.a2_witness)
+    assert direction_sides(ex1, rep.a2_witness) == A2_VIOLATION
     # the named triple is a valid violation even if not the first one found
     p = ex1.poset
-    assert validate_a2_witness(ex1, (p.index("1"), p.index("c"), p.index("a")))
+    assert direction_sides(ex1, (p.index("1"), p.index("c"), p.index("a"))) == A2_VIOLATION
     assert rep.conditions == dict(i=True, ii=True, iii=True, iv=False, v=False, vi=False)
     for key in ("iv", "v", "vi"):
         wit = rep.condition_witnesses[key]
@@ -46,8 +57,8 @@ def test_adjoint_fixtures(m3, fig3, cube8):
 def test_benzene_fails_both_directions(benzene):
     rep = is_adjoint_pair(benzene)
     assert not rep.a1 and not rep.a2
-    assert validate_a1_witness(benzene, rep.a1_witness)
-    assert validate_a2_witness(benzene, rep.a2_witness)
+    assert direction_sides(benzene, rep.a1_witness) == A1_VIOLATION
+    assert direction_sides(benzene, rep.a2_witness) == A2_VIOLATION
     assert not any(rep.conditions.values())
 
 
@@ -55,8 +66,41 @@ def test_one_element_is_adjoint():
     from orthoposet.poset_core import Poset
 
     op = OpPoset(Poset(("0",), (1,)), (0,))
-    assert check_a1(op) == (True, None)
-    assert check_a2(op) == (True, None)
+    assert check_directions(op) == ((True, None), (True, None))
+
+
+def test_direction_witnesses_pinned():
+    rows = []
+    for n in range(1, 6):
+        for p in enumerate_posets(n):
+            if n <= 4:
+                maps = itertools.product(range(n), repeat=n)
+            else:
+                maps = itertools.product(*complement_candidates(p))
+            for prime in maps:
+                rep = is_adjoint_pair(OpPoset(p, prime))
+                rows.append((p.up, prime, rep.a1, rep.a1_witness, rep.a2, rep.a2_witness))
+    assert len(rows) == WITNESS_ROWS
+    h = hashlib.sha256()
+    for row in sorted(rows):
+        h.update(repr(row).encode())
+    assert h.hexdigest() == WITNESS_SHA256
+
+
+def test_direction_witnesses_replay_and_are_first():
+    # every first witness replays against odot/arrow, and no earlier triple
+    # violates the same direction
+    n = 3
+    for p in enumerate_posets(n):
+        for prime in itertools.product(range(n), repeat=n):
+            op = OpPoset(p, prime)
+            for (holds, wit), violation in zip(check_directions(op), (A1_VIOLATION, A2_VIOLATION)):
+                assert holds == (wit is None)
+                if wit is None:
+                    continue
+                assert direction_sides(op, wit) == violation
+                earlier = itertools.takewhile(lambda t: t != wit, itertools.product(range(n), repeat=3))
+                assert all(direction_sides(op, t) != violation for t in earlier)
 
 
 def test_condition_key_validation(m3):
@@ -75,10 +119,9 @@ def test_second_direction_alone_does_not_force_arrow_top():
     # "arrow = {top} iff <=" consequence needs the join identity that only
     # the forward direction grants.
     op = two_chain(prime=(0, 0))
-    a1, w1 = check_a1(op)
-    a2, _ = check_a2(op)
-    assert not a1 and validate_a1_witness(op, w1)
-    assert a2
+    (a1, w1), (a2, w2) = check_directions(op)
+    assert not a1 and direction_sides(op, w1) == A1_VIOLATION
+    assert a2 and w2 is None
     p = op.poset
     assert arrow(op, 0, 0) == 1 << 0
     assert p.le(0, 0)

@@ -3,18 +3,18 @@ import random
 
 import pytest
 
-from orthoposet import naive
+from orthoposet import enumeration, naive
 from orthoposet.enumeration import (
     SearchGoal,
     canonical_form,
     complement_candidates,
     enumerate_posets,
     enumerate_relations,
-    enumerate_unary_ops,
     instance_flag_map,
     search,
 )
-from orthoposet.poset_core import Poset, PosetError
+from orthoposet.poset_core import OpPoset, Poset, PosetError
+from orthoposet.properties import is_orthogonal
 
 POSET_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219}
 
@@ -69,42 +69,44 @@ def test_enumeration_caps():
         list(enumerate_posets(0))
 
 
-# -- unary map enumeration ----------------------------------------------------
+# -- unary maps ---------------------------------------------------------------
+
+
+def _complementations(p):
+    return set(itertools.product(*complement_candidates(p)))
 
 
 def test_two_chain_complementation_is_forced():
     chain = Poset.from_covers(("0", "1"), [(0, 1)])
-    ops = list(enumerate_unary_ops(chain, "complementations"))
-    assert len(ops) == 1
-    assert ops[0].prime == (1, 0)
+    assert _complementations(chain) == {(1, 0)}
 
 
 def test_m3_complementations_include_the_cycle(m3):
     p = m3.poset
-    primes = {op.prime for op in enumerate_unary_ops(p, "complementations")}
+    primes = _complementations(p)
     assert len(primes) == 8
     assert m3.prime in primes
-    assert primes == {
-        op.prime for op in enumerate_unary_ops(p, "orthogonal_complementations")
-    }
+    assert all(is_orthogonal(OpPoset(p, prime)).holds for prime in primes)
 
 
 def test_ex1_complementations_include_the_fixture_table(ex1):
-    primes = {op.prime for op in enumerate_unary_ops(ex1.poset, "complementations")}
-    assert ex1.prime in primes
+    assert ex1.prime in _complementations(ex1.poset)
 
 
 def test_all_maps_count():
-    chain = Poset.from_covers(("0", "m", "1"), [(0, 1), (1, 2)])
-    assert sum(1 for _ in enumerate_unary_ops(chain, "all")) == 27
-    with pytest.raises(PosetError, match="filter"):
-        next(enumerate_unary_ops(chain, "everything"))
+    # a goal without flags streams every unary map on every bounded poset;
+    # every bounded poset on three elements is the chain, with 27 maps
+    hits = list(search(SearchGoal(max_n=3)))
+    assert len(hits) == 1 + 2 * 2**2 + 6 * 3**3
+    assert len(set(hits)) == len(hits)
 
 
 def test_middle_chain_has_no_complement():
     chain = Poset.from_covers(("0", "m", "1"), [(0, 1), (1, 2)])
     assert complement_candidates(chain)[1] == []
-    assert list(enumerate_unary_ops(chain, "complementations")) == []
+    assert _complementations(chain) == set()
+    goal = SearchGoal(require=frozenset({"complemented"}), max_n=3)
+    assert [op.poset.n for op in search(goal)] == [1, 2, 2]
 
 
 # -- canonical form -----------------------------------------------------------
@@ -191,6 +193,22 @@ def test_search_finds_non_involutive_adjoint_instances():
         flags = instance_flag_map(op)
         assert flags["adjoint"] and flags["complemented"] and flags["orthogonal"]
         assert not flags["involution"]
+
+
+@pytest.mark.parametrize(
+    "require, forbid, max_n",
+    [({"involution"}, {"adjoint"}, 3), ({"modular", "complemented"}, {"orthomodular"}, 5)],
+)
+def test_search_skips_poset_deciders_the_goal_does_not_name(monkeypatch, require, forbid, max_n):
+    goal = SearchGoal(require=frozenset(require), forbid=frozenset(forbid), max_n=max_n)
+    want = [(op.poset.up, op.prime) for op in search(goal)]
+    assert want
+
+    def refuse(p):
+        raise AssertionError("is_saturated ran for a goal that does not name it")
+
+    monkeypatch.setattr(enumeration, "is_saturated", refuse)
+    assert [(op.poset.up, op.prime) for op in search(goal)] == want
 
 
 def test_search_orthomodular_always_adjoint_small():

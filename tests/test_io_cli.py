@@ -19,7 +19,7 @@ from orthoposet.io_cli import (
     render_table,
     serialize_document,
 )
-from orthoposet.poset_core import PosetError
+from orthoposet.poset_core import Poset, PosetError
 from orthoposet.properties import PROPERTY_NAMES, op_reports
 from orthoposet.sasaki import op_tables
 
@@ -90,6 +90,22 @@ def test_parse_error_carries_location():
         parse_poset("poset t\nelements 0 0")
     assert exc.value.line == 2
     assert "column" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "line, col",
+    [
+        ("elements e x e", 14),  # the first match of "e" is inside the keyword
+        ("elements 0 1 01\ncovers 0<01 0<0", 13),  # "0<0" also starts inside "0<01"
+        ("elements 0 1 10\ncovers 0<10 10<1\nprime 10:1 0:1 1:0 0:1", 20),
+    ],
+)
+def test_parse_error_column_is_the_token_column(line, col):
+    text = "poset t\n" + line
+    with pytest.raises(ParseError) as exc:
+        parse_poset(text)
+    assert exc.value.line == text.count("\n") + 1
+    assert exc.value.col == col
 
 
 def test_comments_and_blank_lines():
@@ -187,6 +203,15 @@ def test_dot_matches_naive_reduction(fixture_ops):
             assert f'"{p.names[i]}" -> "{p.names[j]}";' in dot
         assert dot.count("->") == len(naive.covers(rel, p.n))
     assert export_dot(fixture_ops["ex1"].poset).startswith("digraph poset {")
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    p = Poset.from_covers(("0", 'a"b', "c\\d", "1"), [(0, 1), (0, 2), (1, 3), (2, 3)])
+    dot = export_dot(p)
+    assert '  "a\\"b";' in dot and '  "c\\\\d";' in dot
+    assert '  "0" -> "a\\"b";' in dot
+    assert '  "c\\\\d" -> "1";' in dot
+    assert 'a"b"' not in dot
 
 
 # -- JSON report ---------------------------------------------------------------

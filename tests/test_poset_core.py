@@ -108,7 +108,6 @@ def test_empty_set_conventions(ex1):
     assert p.upper_bounds(0) == p.full
     assert p.maximal(0) == 0
     assert p.minimal(0) == 0
-    assert p.leq_sets(0, p.full) and p.leq_sets(p.full, 0)
     assert p.leq1(0, 0) and p.leq1(0, p.full)
     assert p.leq2(p.full, 0) and p.leq2(0, 0)
     assert not p.leq1(p.full, 0)
@@ -128,8 +127,6 @@ def test_maximal_minimal(ex1):
 
 def test_set_comparisons(ex1):
     p = ex1.poset
-    assert p.leq_sets(p.mask(["a", "b"]), p.mask(["c", "d"]))
-    assert not p.leq_sets(p.mask(["c"]), p.mask(["a"]))
     assert p.leq1(p.mask(["1"]), p.mask(["1"]))
     assert not p.leq1(p.mask(["a", "e"]), p.mask(["c"]))
     assert not p.leq2(p.mask(["c"]), p.mask(["a"]))
@@ -173,10 +170,6 @@ def test_covers_and_relabel(ex1):
     assert q.names[0] == p.names[-1]
     assert len(q.covers()) == 10
     assert q.le(q.index("a"), q.index("c"))
-
-
-def test_prime_mask(ex1):
-    assert ex1.poset.names_of(ex1.prime_mask(ex1.poset.mask(["a", "e"]))) == ("c", "e")
 
 
 def test_mask_helpers():
@@ -226,8 +219,8 @@ def test_bound_operator_laws(p, data):
         for i in iter_mask(pick):
             assert not (p.up[i] & pick & ~(1 << i))
             assert not (p.down[i] & pick & ~(1 << i))
-    # set comparison implications
-    if a and b and p.leq_sets(a, b):
+    # set comparison implications: all of a below all of b
+    if a and b and all(b & ~p.up[i] == 0 for i in iter_mask(a)):
         assert p.leq1(a, b) and p.leq2(a, b)
     # singleton comparisons coincide with the order
     for x in iter_mask(a):

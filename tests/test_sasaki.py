@@ -13,7 +13,6 @@ from orthoposet.properties import is_orthogonal
 from orthoposet.sasaki import (
     arrow,
     check_projection_laws,
-    check_unit_identities,
     is_sasaki_total,
     odot,
     op_tables,
@@ -137,10 +136,16 @@ def test_totality_matches_orthogonality_on_instances(butterfly, ex1, pentagon):
 
 
 def test_unit_identities_on_fixtures(fixture_ops, butterfly):
-    for op in fixture_ops.values():
-        assert check_unit_identities(op).holds
-    # boundary identities are total even on non-orthogonal carriers
-    assert check_unit_identities(butterfly).holds
+    # top (.) x = {x}; bottom (->) x = {bottom'}; x (->) bottom = {x'};
+    # x (.) bottom = {bottom}. The boundary identities are total even on
+    # non-orthogonal carriers such as the butterfly.
+    for op in (*fixture_ops.values(), butterfly):
+        p = op.poset
+        for x in range(p.n):
+            assert odot(op, p.top, x) == 1 << x
+            assert arrow(op, p.bottom, x) == 1 << op.prime[p.bottom]
+            assert arrow(op, x, p.bottom) == 1 << op.prime[x]
+            assert odot(op, x, p.bottom) == 1 << p.bottom
 
 
 def test_projection_laws_on_fixtures(fixture_ops):

@@ -1,9 +1,10 @@
 """Sampled six-element sweeps: the exhaustive n<=5 ground is covered by the
 acceptance suite; these spot the same invariants one size up."""
 import itertools
+import random
 
 from orthoposet import kernels
-from orthoposet.adjoint import find_o6_subalgebra, is_adjoint_pair
+from orthoposet.adjoint import check_directions, find_o6_subalgebra, is_adjoint_pair
 from orthoposet.enumeration import (
     SearchGoal,
     complement_candidates,
@@ -11,7 +12,8 @@ from orthoposet.enumeration import (
     search,
 )
 from orthoposet.poset_core import OpPoset, Poset
-from orthoposet.properties import is_lattice
+from orthoposet.properties import is_lattice, is_orthogonal
+from orthoposet.sasaki import is_sasaki_total
 
 GROUP1 = (kernels.FLAG_A1, kernels.FLAG_COND_I, kernels.FLAG_COND_II, kernels.FLAG_COND_III)
 GROUP2 = (kernels.FLAG_A2, kernels.FLAG_COND_IV, kernels.FLAG_COND_V, kernels.FLAG_COND_VI)
@@ -42,6 +44,36 @@ def test_orthomodular_implies_adjoint_at_n6():
     for p, prime, bits in _sampled_instances(step=5):
         if bits & kernels.FLAG_ORTHOMODULAR:
             assert bits & kernels.FLAG_A1 and bits & kernels.FLAG_A2
+
+
+def test_totality_and_directions_on_every_non_lattice_at_n6():
+    # Every bounded poset with n <= 5 is a lattice, where every map is total;
+    # the 180 non-lattices at n = 6 are the first carriers with partial
+    # operations. Four seeded maps each, two of them swapping the bounds.
+    rng = random.Random(6)
+    non_lattices = total = partial = 0
+    for p in enumerate_posets(6):
+        if is_lattice(p).holds:
+            continue
+        non_lattices += 1
+        packed = kernels.pack_poset(p)
+        for k in range(4):
+            prime = [rng.randrange(6) for _ in range(6)]
+            if k % 2:
+                prime[p.bottom], prime[p.top] = p.top, p.bottom
+            op = OpPoset(p, prime)
+            bits = kernels.instance_flags(packed, op.prime)
+            is_total = bool(bits & kernels.FLAG_TOTAL)
+            assert is_total == is_sasaki_total(op) == is_orthogonal(op).holds, (p, prime)
+            if not is_total:
+                partial += 1
+                continue
+            total += 1
+            (a1, _), (a2, _) = check_directions(op)
+            assert bool(bits & kernels.FLAG_A1) == a1, (p, prime)
+            assert bool(bits & kernels.FLAG_A2) == a2, (p, prime)
+    assert non_lattices == 180
+    assert total and partial
 
 
 def test_o6_subalgebra_obstructs_adjointness():
