@@ -7,13 +7,17 @@ complementation, adjointness directions, the six conditions, ...) for one
 per-poset tables that ``pack_poset`` builds once and every map on the poset
 shares. The pure-Python core modules never depend on this file, so every
 kernel result can be replayed against them.
+
+The cell x (.) y reads no image but that of y, and x (->) y none but that
+of x, so most flags are an AND, over the elements, of predicates on one
+(element, image) pair, memoized on the packed poset (see ``instance_flags``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .poset_core import Poset, PosetError, indices_of
+from .poset_core import Poset, PosetError, indices_of, iter_mask
 
 FLAG_ORTHOGONAL = 1 << 0
 FLAG_TOTAL = 1 << 1
@@ -51,6 +55,9 @@ CONDITION_FLAGS = (
     ("vi", FLAG_COND_VI),
 )
 
+# Bits that hold only when the instance's operations are total.
+_GATED_FLAGS = FLAG_A1 | FLAG_A2 | sum(flag for _, flag in CONDITION_FLAGS)
+
 MAX_RELATION_N = 6
 
 # One evaluator, in plain Python; environment reports read these two names.
@@ -69,6 +76,8 @@ class PackedPoset:
     ``min_upper[x][y]`` is the mask of Min U(x, y) and ``min_upper_idx[x][y]``
     its ascending indices; ``max_lower``/``max_lower_idx`` hold Max L(x, y).
     ``above[x]`` lists the indices of every y with x <= y.
+    ``entries[e][v]`` memoizes the per-element flag bits of element e with
+    image v (see ``instance_flags``); each slot stays None until first use.
     """
 
     n: int
@@ -83,6 +92,7 @@ class PackedPoset:
     max_lower_idx: tuple[tuple[tuple[int, ...], ...], ...]
     bottom: int
     top: int
+    entries: list[list[Optional[int]]] = field(compare=False, repr=False)
 
 
 def _extremal_tables(rows, extremal):
@@ -100,128 +110,115 @@ def pack_poset(p: Poset) -> PackedPoset:
         p.n, p.up, p.down, tuple(indices_of(row) for row in p.up),
         p.join_table, p.meet_table,
         min_upper, min_upper_idx, max_lower, max_lower_idx,
-        p.bottom, p.top,
+        p.bottom, p.top, [[None] * p.n for _ in range(p.n)],
     )
 
 
 def instance_flags(packed: PackedPoset, prime) -> int:
     """Flag bitfield for one (poset, unary map) instance.
 
-    a1/a2/condition bits are only populated when FLAG_TOTAL is set; callers
-    gate on FLAG_ORTHOGONAL (equivalent by the totality proposition) before
+    Every flag but antitone, involution and orthomodular says "P(e, e') for
+    every e" for a predicate P that reads no image but that of e, so it is
+    exactly the AND of ``packed.entries[e][prime[e]]`` over the elements:
+
+    - orthogonal: a <= e needs a v e', and e' <= b needs e ^ b;
+    - complemented: e v e' is the top and e ^ e' the bottom;
+    - total: every x (.) e = {m ^ e : m in Min U(x, e')} and every
+      e (->) y = {e' v m : m in Max L(e, y)} is defined;
+    - conditions i, ii and vi read the cells x (.) e, conditions iii, iv
+      and v the cells e (->) y, and a1 and a2 both.
+
+    The other three bits relate several images and are computed per map.
+    The a1/a2/condition bits are only set when FLAG_TOTAL is; callers gate
+    on FLAG_ORTHOGONAL (equivalent by the totality proposition) before
     reading them.
     """
     n = packed.n
     if len(prime) != n:
         raise PosetError("prime map length does not match the carrier")
-    up, down, above = packed.up, packed.down, packed.above
-    join, meet = packed.join, packed.meet
-    rng = range(n)
-    flags = 0
-
-    # a <= b needs a v b' and a' <= b needs a ^ b
-    if all(join[a][prime[b]] is not None for a in rng for b in above[a]) and all(
-        meet[a][b] is not None for a in rng for b in above[prime[a]]
-    ):
-        flags |= FLAG_ORTHOGONAL
-    comp = all(join[x][prime[x]] == packed.top and meet[x][prime[x]] == packed.bottom for x in rng)
-    if comp:
-        flags |= FLAG_COMPLEMENTED
-    anti = all((up[prime[y]] >> prime[x]) & 1 for x in rng for y in above[x])
+    if min(prime) < 0 or max(prime) >= n:
+        raise PosetError("prime map sends an element outside the carrier")
+    flags = -1  # a poset has an element, so the AND keeps only entry bits
+    for e, (row, v) in enumerate(zip(packed.entries, prime)):
+        if row[v] is None:
+            row[v] = _entry(packed, e, v)
+        flags &= row[v]
+    up = packed.up
+    anti = all((up[prime[y]] >> prime[x]) & 1 for x in range(n) for y in packed.above[x])
+    inv = all(prime[v] == x for x, v in enumerate(prime))
     if anti:
         flags |= FLAG_ANTITONE
-    inv = all(prime[prime[x]] == x for x in rng)
     if inv:
         flags |= FLAG_INVOLUTION
-    if comp and anti and inv and _orthomodular(packed, prime):
+    if flags & FLAG_COMPLEMENTED and anti and inv and _orthomodular(packed, prime):
         flags |= FLAG_ORTHOMODULAR
-
-    # odot[x][y] lists z ^ y over z in Min U(x, y'), arrow[x][y] lists
-    # z v x' over z in Max L(x, y); repeats are harmless below
-    odot, arrow = [], []
-    for x in rng:
-        mins_x = packed.min_upper_idx[x]
-        maxs_x = packed.max_lower_idx[x]
-        join_px = join[prime[x]]
-        orow = [[meet[y][z] for z in mins_x[prime[y]]] for y in rng]
-        arow = [[join_px[z] for z in maxs_x[y]] for y in rng]
-        if any(None in cell for cell in orow) or any(None in cell for cell in arow):
-            return flags
-        odot.append(orow)
-        arrow.append(arow)
-    flags |= FLAG_TOTAL
-
-    # a1: z above a member of x (.) y implies x below a member of y (->) z;
-    # a2 the converse. Per (x, y), compare the two sets of such z.
-    a1 = a2 = True
-    for y in rng:
-        hit = [0] * n  # hit[t]: the z with t in y (->) z
-        for z in rng:
-            for t in arrow[y][z]:
-                hit[t] |= 1 << z
-        for x in rng:
-            z_odot = 0
-            for t in odot[x][y]:
-                z_odot |= up[t]
-            z_arrow = 0
-            for t in above[x]:
-                z_arrow |= hit[t]
-            if z_odot & ~z_arrow:
-                a1 = False
-            if z_arrow & ~z_odot:
-                a2 = False
-    if a1:
-        flags |= FLAG_A1
-    if a2:
-        flags |= FLAG_A2
-
-    # The up-closure of Min U(x, y') is U(x, y') and the down-closure of
-    # Max L(x, y) is L(x, y), so "every r has some s below (above) it in the
-    # extremal set" in conditions ii and v is containment in U or L.
-    c1 = c2 = c3 = c4 = c5 = c6 = True
-    for x in rng:
-        px = prime[x]
-        for y in rng:
-            py = prime[y]
-            join_py = join[py]
-            r1 = [join_py[t] for t in odot[x][y]]
-            if None in r1:
-                c1 = c2 = False
-            else:
-                r1 = _mask(r1)
-                if r1 != packed.min_upper[x][py]:
-                    c1 = False
-                if r1 & ~(up[x] & up[py]):
-                    c2 = False
-            if (up[px] >> y) & 1:
-                m = meet[y][x]
-                if m is None or join[px][m] != y:
-                    c3 = False
-            meet_x = meet[x]
-            r2 = [meet_x[t] for t in arrow[x][y]]
-            if None in r2:
-                c4 = c5 = False
-            else:
-                r2 = _mask(r2)
-                if r2 != packed.max_lower[x][y]:
-                    c4 = False
-                if r2 & ~(down[x] & down[y]):
-                    c5 = False
-            if (up[x] >> y) & 1:
-                j = join_py[x]
-                if j is None or meet[j][y] != x:
-                    c6 = False
-    for holds, (_, flag) in zip((c1, c2, c3, c4, c5, c6), CONDITION_FLAGS):
-        if holds:
-            flags |= flag
     return flags
 
 
-def _mask(members) -> int:
-    out = 0
-    for t in members:
-        out |= 1 << t
-    return out
+def _entry(packed: PackedPoset, e: int, v: int) -> int:
+    """Bits of the per-element predicates of element e with image v.
+
+    An entry whose own cells are partial holds no a1/a2/condition bit, so
+    the AND in ``instance_flags`` clears them on every partial instance.
+    """
+    n = packed.n
+    rng = range(n)
+    up, down, above = packed.up, packed.down, packed.above
+    join_v, meet_e = packed.join[v], packed.meet[e]
+    bits = 0
+    if None not in [join_v[a] for a in iter_mask(down[e])] + [meet_e[b] for b in above[v]]:
+        bits |= FLAG_ORTHOGONAL
+    if join_v[e] == packed.top and meet_e[v] == packed.bottom:
+        bits |= FLAG_COMPLEMENTED
+
+    # odot[x] lists m ^ e over m in Min U(x, e'), arrow[y] lists e' v m over
+    # m in Max L(e, y); repeats are harmless below
+    odot = [[meet_e[m] for m in packed.min_upper_idx[x][v]] for x in rng]
+    arrow = [[join_v[m] for m in packed.max_lower_idx[e][y]] for y in rng]
+    if any(None in cell for cell in odot) or any(None in cell for cell in arrow):
+        return bits
+    bits |= FLAG_TOTAL | _GATED_FLAGS
+
+    # a1: z above a member of x (.) e implies x below a member of e (->) z;
+    # a2 the converse. Per x, compare the two sets of such z.
+    hit = [0] * n  # hit[t]: the z with t in e (->) z
+    for z in rng:
+        for t in arrow[z]:
+            hit[t] |= 1 << z
+    # The up-closure of Min U(x, e') is U(x, e') and the down-closure of
+    # Max L(e, y) is L(e, y), so "every r has some s below (above) it in the
+    # extremal set" in conditions ii and v is containment in U or L. An
+    # undefined e' v t or e ^ t counts as the element n, which fails both.
+    join_bit = [1 << (n if j is None else j) for j in join_v]
+    meet_bit = [1 << (n if m is None else m) for m in meet_e]
+    for x in rng:
+        z_odot = z_arrow = r1 = 0
+        for t in odot[x]:
+            z_odot |= up[t]
+            r1 |= join_bit[t]
+        for t in above[x]:
+            z_arrow |= hit[t]
+        if z_odot & ~z_arrow:
+            bits &= ~FLAG_A1
+        if z_arrow & ~z_odot:
+            bits &= ~FLAG_A2
+        if r1 != packed.min_upper[x][v]:
+            bits &= ~FLAG_COND_I
+        if r1 & ~(up[x] & up[v]):
+            bits &= ~FLAG_COND_II
+    for y in rng:
+        r2 = 0
+        for t in arrow[y]:
+            r2 |= meet_bit[t]
+        if r2 != packed.max_lower[e][y]:
+            bits &= ~FLAG_COND_IV
+        if r2 & ~(down[e] & down[y]):
+            bits &= ~FLAG_COND_V
+    if any(meet_e[y] is None or join_v[meet_e[y]] != y for y in above[v]):
+        bits &= ~FLAG_COND_III
+    if any(join_v[x] is None or meet_e[join_v[x]] != x for x in iter_mask(down[e])):
+        bits &= ~FLAG_COND_VI
+    return bits
 
 
 def _orthomodular(packed: PackedPoset, prime) -> bool:

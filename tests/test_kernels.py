@@ -133,6 +133,30 @@ def test_prime_shape_validation(ex1):
         kernels.instance_flags(packed, (0, 1))
 
 
+def test_prime_images_outside_the_carrier_rejected():
+    chain = Poset.from_covers(("0", "1"), [(0, 1)])
+    packed = kernels.pack_poset(chain)
+    for prime in ((-1, 0), (2, 0)):
+        with pytest.raises(PosetError, match="outside the carrier"):
+            kernels.instance_flags(packed, prime)
+    fresh = kernels.instance_flags(kernels.pack_poset(chain), (1, 0))
+    assert kernels.instance_flags(packed, (1, 0)) == fresh
+
+
+def test_entries_filled_lazily_and_in_any_order(ex1):
+    packed = kernels.pack_poset(ex1.poset)
+    kernels.instance_flags(packed, ex1.prime)
+    filled = [(e, v) for e, row in enumerate(packed.entries) for v, bits in enumerate(row) if bits is not None]
+    assert filled == list(enumerate(ex1.prime))
+    for n in (3, 4):
+        for p in enumerate_posets(n):
+            maps = list(itertools.product(range(n), repeat=n))
+            forward, backward = kernels.pack_poset(p), kernels.pack_poset(p)
+            want = [kernels.instance_flags(forward, prime) for prime in maps]
+            got = [kernels.instance_flags(backward, prime) for prime in reversed(maps)]
+            assert got[::-1] == want, p.up
+
+
 def test_pack_poset_at_the_carrier_cap():
     names = tuple(f"e{i}" for i in range(CARRIER_CAP))
     chain = Poset.from_covers(names, [(i, i + 1) for i in range(CARRIER_CAP - 1)])

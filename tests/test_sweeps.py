@@ -1,7 +1,10 @@
-"""Sampled six-element sweeps: the exhaustive n<=5 ground is covered by the
-acceptance suite; these spot the same invariants one size up."""
+"""Six-element sweeps: the exhaustive n<=5 ground is covered by the
+acceptance suite; these check the same invariants one size up."""
+import hashlib
 import itertools
 import random
+
+import pytest
 
 from orthoposet import kernels
 from orthoposet.adjoint import check_directions, find_o6_subalgebra, is_adjoint_pair
@@ -18,32 +21,63 @@ from orthoposet.sasaki import is_sasaki_total
 GROUP1 = (kernels.FLAG_A1, kernels.FLAG_COND_I, kernels.FLAG_COND_II, kernels.FLAG_COND_III)
 GROUP2 = (kernels.FLAG_A2, kernels.FLAG_COND_IV, kernels.FLAG_COND_V, kernels.FLAG_COND_VI)
 
+# Every complementation map on every bounded poset with n = 6: the count and
+# the digest over the sorted (up rows, prime, flag bits) rows, the same pin
+# the sweep6 benchmark workload checks.
+SWEEP6_MAPS = 25470
+SWEEP6_SHA256 = "38b41d9e291364d0bde052e9a0f070d3fa5cb2037d518f43774b92011fd03d26"
+# The sorted (up rows, prime, flag bits) rows of the seeded maps on the
+# non-lattices at n = 6, taken from the evaluator that built both operation
+# tables per map; it pins the cleared a1/a2/condition bits of the partial
+# instances.
+NON_LATTICE_MAPS_SHA256 = "e80fe64322c78534e7f7a833f26fc724a17c576285bbd48666c8631d2f1dc9ce"
 
-def _sampled_instances(step=7):
-    for p in itertools.islice(enumerate_posets(6), 0, None, step):
+
+def _digest(rows) -> str:
+    h = hashlib.sha256()
+    for row in sorted(rows):
+        h.update(repr(row).encode())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def sweep6():
+    """(poset index, poset, prime, flag bits) of every complementation map
+    on every bounded poset with n = 6."""
+    out = []
+    for idx, p in enumerate(enumerate_posets(6)):
         cands = complement_candidates(p)
         if any(not c for c in cands):
             continue
         packed = kernels.pack_poset(p)
         for prime in itertools.product(*cands):
-            bits = kernels.instance_flags(packed, prime)
-            if bits & kernels.FLAG_ORTHOGONAL:
-                yield p, prime, bits
+            out.append((idx, p, prime, kernels.instance_flags(packed, prime)))
+    return out
 
 
-def test_direction_condition_equivalences_at_n6():
+def test_sweep6_pinned(sweep6):
+    assert len(sweep6) == SWEEP6_MAPS
+    assert _digest((p.up, prime, bits) for _, p, prime, bits in sweep6) == SWEEP6_SHA256
+
+
+def test_direction_condition_equivalences_at_n6(sweep6):
     count = 0
-    for p, prime, bits in _sampled_instances():
+    for _, p, prime, bits in sweep6:
+        if not bits & kernels.FLAG_ORTHOGONAL:
+            continue
         assert len({bool(bits & f) for f in GROUP1}) == 1, (p, prime)
         assert len({bool(bits & f) for f in GROUP2}) == 1, (p, prime)
         count += 1
-    assert count > 50
+    assert count == SWEEP6_MAPS
 
 
-def test_orthomodular_implies_adjoint_at_n6():
-    for p, prime, bits in _sampled_instances(step=5):
+def test_orthomodular_implies_adjoint_at_n6(sweep6):
+    seen = 0
+    for _, p, prime, bits in sweep6:
         if bits & kernels.FLAG_ORTHOMODULAR:
-            assert bits & kernels.FLAG_A1 and bits & kernels.FLAG_A2
+            assert bits & kernels.FLAG_A1 and bits & kernels.FLAG_A2, (p, prime)
+            seen += 1
+    assert seen > 0
 
 
 def test_totality_and_directions_on_every_non_lattice_at_n6():
@@ -52,6 +86,7 @@ def test_totality_and_directions_on_every_non_lattice_at_n6():
     # operations. Four seeded maps each, two of them swapping the bounds.
     rng = random.Random(6)
     non_lattices = total = partial = 0
+    rows = []
     for p in enumerate_posets(6):
         if is_lattice(p).holds:
             continue
@@ -63,6 +98,7 @@ def test_totality_and_directions_on_every_non_lattice_at_n6():
                 prime[p.bottom], prime[p.top] = p.top, p.bottom
             op = OpPoset(p, prime)
             bits = kernels.instance_flags(packed, op.prime)
+            rows.append((p.up, op.prime, bits))
             is_total = bool(bits & kernels.FLAG_TOTAL)
             assert is_total == is_sasaki_total(op) == is_orthogonal(op).holds, (p, prime)
             if not is_total:
@@ -73,14 +109,16 @@ def test_totality_and_directions_on_every_non_lattice_at_n6():
             assert bool(bits & kernels.FLAG_A1) == a1, (p, prime)
             assert bool(bits & kernels.FLAG_A2) == a2, (p, prime)
     assert non_lattices == 180
-    assert total and partial
+    assert (total, partial) == (41, 679)
+    assert _digest(rows) == NON_LATTICE_MAPS_SHA256
 
 
-def test_o6_subalgebra_obstructs_adjointness():
-    # sampled complemented lattices: a closed O6 always kills adjointness
+def test_o6_subalgebra_obstructs_adjointness(sweep6):
+    # complemented lattices on every third poset: a closed O6 always kills
+    # adjointness
     seen_o6 = 0
-    for p, prime, bits in _sampled_instances(step=3):
-        if not is_lattice(p).holds or not bits & kernels.FLAG_COMPLEMENTED:
+    for idx, p, prime, bits in sweep6:
+        if idx % 3 or not is_lattice(p).holds or not bits & kernels.FLAG_COMPLEMENTED:
             continue
         op = OpPoset(p, prime)
         if find_o6_subalgebra(op) is not None:
