@@ -92,6 +92,7 @@ def check_condition(op: OpPoset, which: str, _cells=None) -> tuple[bool, Optiona
     Set-valued sides use the same semantics as the operations themselves
     (y' v S means the set of joins of y' with members of S); an undefined
     bound inside a side counts as failure of the condition at that pair.
+    Min U(x, y') and Max L(x, y) come from ``Poset.min_upper``/``max_lower``.
     """
     p = op.poset
     if which not in CONDITION_KEYS:
@@ -102,7 +103,7 @@ def check_condition(op: OpPoset, which: str, _cells=None) -> tuple[bool, Optiona
             py = op.prime[y]
             px = op.prime[x]
             if which in ("i", "ii"):
-                mins = p.minimal(p.up[x] & p.up[py])
+                mins = p.min_upper[x][py]
                 rhs = 0
                 ok = True
                 for t in iter_mask(ocells[x][y]):
@@ -124,7 +125,7 @@ def check_condition(op: OpPoset, which: str, _cells=None) -> tuple[bool, Optiona
                     if j != y:
                         return False, (x, y)
             elif which in ("iv", "v"):
-                maxs = p.maximal(p.down[x] & p.down[y])
+                maxs = p.max_lower[x][y]
                 rhs = 0
                 ok = True
                 for t in iter_mask(acells[x][y]):

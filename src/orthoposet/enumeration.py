@@ -175,7 +175,8 @@ def search(goal: SearchGoal) -> Iterator[OpPoset]:
     (nothing to be adjoint about). Complementation maps are enumerated
     exhaustively when the goal requires "complemented"; otherwise all maps
     for n <= 4 and a seeded sample per poset above that. The poset-level
-    deciders (saturated, modular, lattice) run only when the goal names them.
+    deciders (saturated, modular, lattice) run only when the goal names them,
+    and a poset is packed only once it yields a map.
     """
     found = 0
     # looked up per call, so a rebound module-global decider is the one run
@@ -186,8 +187,9 @@ def search(goal: SearchGoal) -> Iterator[OpPoset]:
             poset_flags = {f: deciders[f](p).holds for f in named}
             if any(poset_flags[f] != (f in goal.require) for f in named):
                 continue
-            packed = kernels.pack_poset(p)
+            packed = None  # packed on the poset's first map
             for prime in _goal_maps(p, goal, idx):
+                packed = packed or kernels.pack_poset(p)
                 bits = kernels.instance_flags(packed, prime)
                 flags = _kernel_flag_map(poset_flags, bits)
                 if all(flags[f] for f in goal.require) and not any(

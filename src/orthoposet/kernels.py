@@ -72,9 +72,10 @@ def active_backend() -> str:
 class PackedPoset:
     """Per-poset structure tables shared by every unary map on it.
 
-    ``join``/``meet`` hold element indices, None where undefined.
-    ``min_upper[x][y]`` is the mask of Min U(x, y) and ``min_upper_idx[x][y]``
-    its ascending indices; ``max_lower``/``max_lower_idx`` hold Max L(x, y).
+    ``join``/``meet`` (element indices, None where undefined) and the masks
+    ``min_upper``/``max_lower`` of Min U(x, y)/Max L(x, y) are the poset's
+    own cached tables; ``min_upper_idx[x][y]``/``max_lower_idx[x][y]`` hold
+    the ascending indices of those masks.
     ``above[x]`` lists the indices of every y with x <= y.
     ``entries[e][v]`` memoizes the per-element flag bits of element e with
     image v (see ``instance_flags``); each slot stays None until first use.
@@ -95,21 +96,17 @@ class PackedPoset:
     entries: list[list[Optional[int]]] = field(compare=False, repr=False)
 
 
-def _extremal_tables(rows, extremal):
-    """Masks and indices of extremal(rows[x] & rows[y]) for every pair."""
-    found = {c: extremal(c) for c in {a & b for a in rows for b in rows}}
-    masks = tuple(tuple(found[a & b] for b in rows) for a in rows)
-    idx = {m: indices_of(m) for m in found.values()}
-    return masks, tuple(tuple(idx[m] for m in row) for row in masks)
+def _index_table(masks):
+    """Ascending indices of every cell, built once per distinct mask."""
+    idx = {m: indices_of(m) for m in set().union(*masks)}
+    return tuple(tuple(map(idx.__getitem__, row)) for row in masks)
 
 
 def pack_poset(p: Poset) -> PackedPoset:
-    min_upper, min_upper_idx = _extremal_tables(p.up, p.minimal)
-    max_lower, max_lower_idx = _extremal_tables(p.down, p.maximal)
     return PackedPoset(
         p.n, p.up, p.down, tuple(indices_of(row) for row in p.up),
         p.join_table, p.meet_table,
-        min_upper, min_upper_idx, max_lower, max_lower_idx,
+        p.min_upper, _index_table(p.min_upper), p.max_lower, _index_table(p.max_lower),
         p.bottom, p.top, [[None] * p.n for _ in range(p.n)],
     )
 

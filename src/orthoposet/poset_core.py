@@ -59,10 +59,12 @@ class Poset:
     ``up[i]`` is the mask of all j with i <= j (including i itself) and
     ``down[i]`` the mask of all j with j <= i. The constructor validates
     reflexivity, antisymmetry, transitivity and the existence of a least
-    and greatest element. The join and meet tables are built on first use.
+    and greatest element. The join and meet tables and the tables of Min U
+    and Max L masks (``min_upper``, ``max_lower``) are built on first use.
     """
 
-    __slots__ = ("names", "n", "up", "down", "bottom", "top", "full", "_index", "_joins", "_meets")
+    __slots__ = ("names", "n", "up", "down", "bottom", "top", "full", "_index",
+                 "_joins", "_meets", "_min_upper", "_max_lower")
 
     def __init__(self, names: Sequence[str], up_rows: Sequence[int]):
         names = tuple(names)
@@ -107,8 +109,7 @@ class Poset:
         self.top = tops[0]
         self.full = full
         self._index = {s: i for i, s in enumerate(names)}
-        self._joins = None
-        self._meets = None
+        self._joins = self._meets = self._min_upper = self._max_lower = None
 
     # -- construction -----------------------------------------------------
 
@@ -210,6 +211,20 @@ class Poset:
             self._meets = _bound_table(self.down)
         return self._meets
 
+    @property
+    def min_upper(self) -> tuple[tuple[int, ...], ...]:
+        """``min_upper[x][y]`` is the mask of Min U(x, y)."""
+        if self._min_upper is None:
+            self._min_upper = pair_table(self.up, self.minimal)
+        return self._min_upper
+
+    @property
+    def max_lower(self) -> tuple[tuple[int, ...], ...]:
+        """``max_lower[x][y]`` is the mask of Max L(x, y)."""
+        if self._max_lower is None:
+            self._max_lower = pair_table(self.down, self.maximal)
+        return self._max_lower
+
     def join(self, x: int, y: int) -> Optional[int]:
         """Least upper bound, or None when no unique one exists."""
         return self.join_table[x][y]
@@ -270,6 +285,12 @@ def _bound_table(rows: tuple[int, ...]) -> tuple[tuple[Optional[int], ...], ...]
     """
     index = {row: i for i, row in enumerate(rows)}
     return tuple(tuple(index.get(a & b) for b in rows) for a in rows)
+
+
+def pair_table(rows: tuple[int, ...], fn) -> tuple[tuple[int, ...], ...]:
+    """Per pair x, y: ``fn(rows[x] & rows[y])``, computed once per distinct set."""
+    found = {c: fn(c) for c in {a & b for a in rows for b in rows}}
+    return tuple(tuple(found[a & b] for b in rows) for a in rows)
 
 
 class OpPoset:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .poset_core import OpPoset, Poset, iter_mask
+from .poset_core import OpPoset, Poset, iter_mask, pair_table
 
 PROPERTY_NAMES = (
     "saturated",
@@ -56,21 +56,23 @@ def _fail(prop: str, elements: tuple[int, ...], condition: str, detail: str = ""
 def is_saturated(p: Poset) -> PropertyReport:
     """Every lower bound of a pair sits below a maximal lower bound; dually.
 
-    Holds for every finite poset, so this literal check doubles as a
-    self-test of the bound machinery.
+    Reads ``Poset.max_lower``/``min_upper``: the witness z is the least
+    member of L(x, y) below no member of Max L(x, y), dually for U. Holds
+    for every finite poset, so this doubles as a self-test of those tables.
     """
+    sides = (
+        (p.down, p.max_lower, "lower_bound_above_no_maximal"),
+        (p.up, p.min_upper, "upper_bound_below_no_minimal"),
+    )
     for x in range(p.n):
         for y in range(p.n):
-            lows = p.down[x] & p.down[y]
-            maxs = p.maximal(lows)
-            for z in iter_mask(lows):
-                if not p.up[z] & maxs:
-                    return _fail("saturated", (x, y, z), "lower_bound_above_no_maximal")
-            ups = p.up[x] & p.up[y]
-            mins = p.minimal(ups)
-            for z in iter_mask(ups):
-                if not p.down[z] & mins:
-                    return _fail("saturated", (x, y, z), "upper_bound_below_no_minimal")
+            for rows, extremal, condition in sides:
+                covered = 0
+                for m in iter_mask(extremal[x][y]):
+                    covered |= rows[m]
+                missed = rows[x] & rows[y] & ~covered
+                if missed:
+                    return _fail("saturated", (x, y, next(iter_mask(missed))), condition)
     return PropertyReport("saturated", True)
 
 
@@ -135,15 +137,21 @@ def is_orthomodular(op: OpPoset) -> PropertyReport:
 
 
 def is_modular(p: Poset) -> PropertyReport:
-    """For x <= z: common lower bounds of U(x,y) and z match those of U(x, L(y,z))."""
-    for x in range(p.n):
-        for y in range(p.n):
-            for z in iter_mask(p.up[x]):
-                lhs = p.lower_bounds(p.upper_bounds((1 << x) | (1 << y)) | (1 << z))
-                rhs = p.lower_bounds(
-                    p.upper_bounds((1 << x) | p.lower_bounds((1 << y) | (1 << z)))
-                )
-                if lhs != rhs:
+    """For x <= z: common lower bounds of U(x,y) and z match those of U(x, L(y,z)).
+
+    The sides are ``lu[x][y] & down[z]`` and L(up[x] & ``ul[y][z]``) over
+    pair tables of L(U(x, y)) and U(L(y, z)), with L memoized per mask.
+    """
+    lu = pair_table(p.up, p.lower_bounds)
+    ul = pair_table(p.down, p.upper_bounds)
+    lower = {}
+    for x, up_x in enumerate(p.up):
+        for y, ul_y in enumerate(ul):
+            for z in iter_mask(up_x):
+                s = up_x & ul_y[z]
+                if s not in lower:
+                    lower[s] = p.lower_bounds(s)
+                if lu[x][y] & p.down[z] != lower[s]:
                     return _fail("modular", (x, y, z), "modular_law_fails")
     return PropertyReport("modular", True)
 

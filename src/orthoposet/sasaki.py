@@ -31,10 +31,10 @@ class OpTable:
 
 
 def odot(op: OpPoset, x: int, y: int) -> int:
-    """x (.) y as a subset mask; raises if a needed meet is missing."""
+    """x (.) y as a mask, over Min U(x, y') from ``Poset.min_upper``; raises on a missing meet."""
     p = op.poset
     out = 0
-    for m in iter_mask(p.minimal(p.up[x] & p.up[op.prime[y]])):
+    for m in iter_mask(p.min_upper[x][op.prime[y]]):
         w = p.meet(m, y)
         if w is None:
             raise UndefinedOperationError("meet", m, y, p)
@@ -43,11 +43,11 @@ def odot(op: OpPoset, x: int, y: int) -> int:
 
 
 def arrow(op: OpPoset, x: int, y: int) -> int:
-    """x (->) y as a subset mask; raises if a needed join is missing."""
+    """x (->) y as a mask, over Max L(x, y) from ``Poset.max_lower``; raises on a missing join."""
     p = op.poset
     px = op.prime[x]
     out = 0
-    for m in iter_mask(p.maximal(p.down[x] & p.down[y])):
+    for m in iter_mask(p.max_lower[x][y]):
         w = p.join(px, m)
         if w is None:
             raise UndefinedOperationError("join", px, m, p)

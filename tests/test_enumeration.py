@@ -211,6 +211,21 @@ def test_search_skips_poset_deciders_the_goal_does_not_name(monkeypatch, require
     assert [(op.poset.up, op.prime) for op in search(goal)] == want
 
 
+def test_complemented_search_packs_only_complemented_posets(monkeypatch):
+    packed = []
+
+    def counting_pack(p):
+        packed.append(p)
+        return pack_poset(p)
+
+    pack_poset = enumeration.kernels.pack_poset
+    monkeypatch.setattr(enumeration.kernels, "pack_poset", counting_pack)
+    goal = SearchGoal(require=frozenset({"complemented"}), max_n=5)
+    assert list(search(goal))
+    want = [p for n in range(1, 6) for p in enumerate_posets(n) if all(complement_candidates(p))]
+    assert packed == want
+
+
 def test_search_orthomodular_always_adjoint_small():
     goal = SearchGoal(
         require=frozenset({"orthomodular"}), forbid=frozenset({"adjoint"}), max_n=4

@@ -45,6 +45,8 @@ def test_pack_poset_tables(ex1):
     packed = kernels.pack_poset(p)
     assert packed.n == p.n
     assert packed.bottom == p.bottom and packed.top == p.top
+    assert packed.join is p.join_table and packed.meet is p.meet_table
+    assert packed.min_upper is p.min_upper and packed.max_lower is p.max_lower
     for i in range(p.n):
         assert packed.above[i] == indices_of(p.up[i])
         for j in range(p.n):

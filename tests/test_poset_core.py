@@ -153,6 +153,25 @@ def test_join_meet_tables_built_on_first_use(ex1):
     assert p._meets is p.meet_table
 
 
+def test_min_upper_max_lower_built_on_first_use(ex1):
+    p = Poset(ex1.poset.names, ex1.poset.up)
+    assert p._min_upper is None and p._max_lower is None
+    assert p.names_of(p.min_upper[p.index("a")][p.index("b")]) == ("c", "d")
+    assert p._min_upper is p.min_upper and p._max_lower is None
+    assert p.names_of(p.max_lower[p.index("c")][p.index("d")]) == ("a", "b")
+    assert p._max_lower is p.max_lower
+    assert p._joins is None and p._meets is None
+
+
+def test_min_upper_max_lower_match_minimal_maximal(fixture_ops, butterfly, pentagon):
+    for op in [*fixture_ops.values(), butterfly, pentagon]:
+        p = op.poset
+        for x in range(p.n):
+            for y in range(p.n):
+                assert p.min_upper[x][y] == p.minimal(p.up[x] & p.up[y])
+                assert p.max_lower[x][y] == p.maximal(p.down[x] & p.down[y])
+
+
 def test_interval(ex1):
     p = ex1.poset
     assert p.names_of(p.interval(p.index("0"), p.index("c"))) == ("0", "a", "b", "c")

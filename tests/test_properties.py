@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -166,22 +167,48 @@ def test_modular_cases(m3, benzene):
 
 
 def test_modular_matches_classical_law_on_lattices(fig3, cube8, pentagon):
-    lattices = [fig3.poset, cube8.poset, pentagon.poset]
-    for n in range(1, 6):
-        lattices.extend(p for p in enumerate_posets(n) if is_lattice(p).holds)
-    # six-element carriers: every 211th keeps the sweep under a second
-    sample = list(itertools.islice(enumerate_posets(6), 0, None, 211))
-    lattices.extend(p for p in sample if is_lattice(p).holds)
-    for p in lattices:
-        classical = True
-        for x in range(p.n):
-            for z in range(p.n):
-                if not p.le(x, z):
-                    continue
-                for y in range(p.n):
-                    if p.meet(p.join(x, y), z) != p.join(x, p.meet(y, z)):
-                        classical = False
+    # x <= z implies x v (y ^ z) = (x v y) ^ z, read off the join and meet
+    # tables: shares nothing with is_modular's bound-set tables
+    lattices = [p for n in range(1, 7) for p in enumerate_posets(n) if is_lattice(p).holds]
+    assert len(lattices) == 6815
+    modular = 0
+    for p in lattices + [fig3.poset, cube8.poset, pentagon.poset]:
+        join, meet = p.join_table, p.meet_table
+        classical = all(
+            join[x][meet[y][z]] == meet[join[x][y]][z]
+            for x in range(p.n)
+            for z in range(p.n)
+            if p.le(x, z)
+            for y in range(p.n)
+        )
         assert is_modular(p).holds == classical
+        modular += classical
+    assert modular == 3095 + 1  # cube8 is modular, fig3 and the pentagon are not
+
+
+MODULAR_SATURATED_ROWS = 15881
+MODULAR_SATURATED_SHA256 = "77bccef41267301d852c2752a23ad839cdb15d812989d23ae12618e8453e0ff3"
+
+
+def test_modular_and_saturated_reports_pinned():
+    # sha256 over the sorted (up rows, modular holds, witness, saturated
+    # holds, witness) rows of every bounded poset with n <= 6 and every 20th
+    # at n = 7, taken with the literal bound-set deciders
+    posets = itertools.chain(
+        (p for n in range(1, 7) for p in enumerate_posets(n)),
+        itertools.islice(enumerate_posets(7), 0, None, 20),
+    )
+    rows = []
+    for p in posets:
+        row = [p.up]
+        for rep in (is_modular(p), is_saturated(p)):
+            row += [rep.holds, rep.witness and (rep.witness.elements, rep.witness.condition)]
+        rows.append(tuple(row))
+    assert len(rows) == MODULAR_SATURATED_ROWS
+    h = hashlib.sha256()
+    for row in sorted(rows):
+        h.update(repr(row).encode())
+    assert h.hexdigest() == MODULAR_SATURATED_SHA256
 
 
 def test_lattice_cases(ex1, fig3):
