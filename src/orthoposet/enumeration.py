@@ -8,6 +8,7 @@ duplicate-free and cross-checked against the naive filters in tests.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -39,12 +40,20 @@ def enumerate_relations(n: int) -> Iterator[tuple[int, ...]]:
         yield kernels.decode_relation(code, n)
 
 
-def _default_names(n: int) -> list[str]:
-    return [f"p{i}" for i in range(n)]
+def _default_names(n: int) -> tuple[str, ...]:
+    return tuple(f"p{i}" for i in range(n))
 
 
 def enumerate_posets(n: int) -> Iterator[Poset]:
-    """Every labeled *bounded* poset on n elements, as Poset values."""
+    """Every labeled *bounded* poset on n elements, as Poset values.
+
+    The order is bottom x top x ``relation_codes(n - 2)`` on the elements in
+    between. Each middle relation is validated once, by the ``Poset``
+    constructor on a frame: the relation on elements 0..n-3, with n-2 below
+    and n-1 above them. Every poset yielded is a frame relabeled so that n-2
+    and n-1 land on the chosen bottom and top, and a relabeled valid order is
+    valid, so it is built by ``Poset._trusted`` without a second check.
+    """
     if not (1 <= n <= MAX_BOUNDED_N):
         raise PosetError(f"bounded enumeration supports 1 <= n <= {MAX_BOUNDED_N}")
     names = _default_names(n)
@@ -52,24 +61,32 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
         yield Poset(names, (1,))
         return
     m = n - 2
-    codes = kernels.relation_codes(m) if m else [0]
     full = (1 << n) - 1
+    frames = []
+    for code in kernels.relation_codes(m) if m else [0]:
+        rows = [row | 1 << (m + 1) for row in kernels.decode_relation(code, m)]
+        frame = Poset(names, rows + [full, 1 << (m + 1)])
+        frames.append((frame.up, frame.down))
     for bottom in range(n):
         for top in range(n):
             if top == bottom:
                 continue
-            mids = [i for i in range(n) if i not in (bottom, top)]
-            for code in codes:
-                rows = [0] * n
-                rows[bottom] = full
-                rows[top] = 1 << top
-                for k, el in enumerate(mids):
-                    row = (1 << el) | (1 << top)
-                    rel_row = (code >> (k * m)) & ((1 << m) - 1)
-                    for j in iter_mask(rel_row):
-                        row |= 1 << mids[j]
-                    rows[el] = row
-                yield Poset(names, rows)
+            # frame element k goes to target[k]; spread[S] is the frame subset S moved
+            target = [i for i in range(n) if i not in (bottom, top)] + [bottom, top]
+            spread = [0] * (full + 1)
+            for s in range(1, full + 1):
+                j = (s & -s).bit_length() - 1
+                spread[s] = spread[s & (s - 1)] | 1 << target[j]
+            source = operator.itemgetter(*sorted(range(n), key=target.__getitem__))
+            relabel = spread.__getitem__
+            for up, down in frames:
+                yield Poset._trusted(
+                    names,
+                    tuple(map(relabel, source(up))),
+                    tuple(map(relabel, source(down))),
+                    bottom,
+                    top,
+                )
 
 
 def complement_candidates(p: Poset) -> list[list[int]]:

@@ -66,6 +66,9 @@ def parse_poset(text: str) -> PosetDocument:
     prime: dict[str, str] = {}
     seen_prime = False
     stage = -1
+    elements_at = (1, 1)
+    index: dict[str, int] = {}
+    up: list[int] = []  # reflexive-transitive closure of the covers read so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         spans = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
@@ -93,6 +96,9 @@ def parse_poset(text: str) -> PosetDocument:
                 elements.append(label)
             if not elements:
                 raise ParseError(lineno, col, "elements section is empty")
+            elements_at = (lineno, col)
+            index = {label: i for i, label in enumerate(elements)}
+            up = [1 << i for i in range(len(elements))]
         elif keyword == "covers":
             for tok, tcol in body:
                 if tok.count("<") != 1:
@@ -103,6 +109,14 @@ def parse_poset(text: str) -> PosetDocument:
                         raise ParseError(lineno, tcol, f"unknown element {lab!r} in cover")
                 if a == b:
                     raise ParseError(lineno, tcol, f"cover {tok!r} relates an element to itself")
+                i, j = index[a], index[b]
+                if (up[j] >> i) & 1:
+                    raise ParseError(
+                        lineno, tcol, f"cover {tok!r} closes a cycle, so the order is not antisymmetric"
+                    )
+                for k, row in enumerate(up):
+                    if (row >> i) & 1:
+                        up[k] = row | up[j]
                 covers.append((a, b))
         else:
             seen_prime = True
@@ -127,7 +141,10 @@ def parse_poset(text: str) -> PosetDocument:
     doc = PosetDocument(
         name, tuple(elements), tuple(covers), dict(prime) if seen_prime else None
     )
-    document_to_poset(doc)  # validates cycles and bounds
+    try:
+        document_to_poset(doc)  # validates the bounds and the carrier cap
+    except PosetError as exc:
+        raise ParseError(*elements_at, str(exc)) from None
     return doc
 
 
@@ -165,8 +182,16 @@ def poset_to_document(p: Poset, name: str, prime: Optional[tuple[int, ...]] = No
 
 
 def load_poset_path(path: str) -> PosetDocument:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_poset(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, start) + 1
+        col = len(data[start:exc.start].decode("utf-8")) + 1
+        raise ParseError(line, col, "file is not valid UTF-8") from None
+    return parse_poset(text)
 
 
 def fixture_text(name: str) -> str:

@@ -59,8 +59,12 @@ class Poset:
     ``up[i]`` is the mask of all j with i <= j (including i itself) and
     ``down[i]`` the mask of all j with j <= i. The constructor validates
     reflexivity, antisymmetry, transitivity and the existence of a least
-    and greatest element. The join and meet tables and the tables of Min U
-    and Max L masks (``min_upper``, ``max_lower``) are built on first use.
+    and greatest element, for every poset built from parsed or user input.
+    The one exception is ``enumerate_posets``: it validates each middle
+    relation once through the constructor and builds its relabeled copies
+    with the unchecked ``_trusted``. The name index, the join and meet
+    tables and the tables of Min U and Max L masks (``min_upper``,
+    ``max_lower``) are built on first use.
     """
 
     __slots__ = ("names", "n", "up", "down", "bottom", "top", "full", "_index",
@@ -108,10 +112,28 @@ class Poset:
         self.bottom = bottoms[0]
         self.top = tops[0]
         self.full = full
-        self._index = {s: i for i, s in enumerate(names)}
-        self._joins = self._meets = self._min_upper = self._max_lower = None
+        self._index = self._joins = self._meets = self._min_upper = self._max_lower = None
 
     # -- construction -----------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, names: tuple[str, ...], up: tuple[int, ...], down: tuple[int, ...],
+                 bottom: int, top: int) -> "Poset":
+        """A poset from rows already known to form a valid bounded order.
+
+        Nothing is checked, so the caller must derive the rows from a poset
+        the constructor validated; ``enumerate_posets`` relabels one.
+        """
+        self = cls.__new__(cls)
+        self.names = names
+        self.n = len(names)
+        self.up = up
+        self.down = down
+        self.bottom = bottom
+        self.top = top
+        self.full = (1 << self.n) - 1
+        self._index = self._joins = self._meets = self._min_upper = self._max_lower = None
+        return self
 
     @classmethod
     def from_covers(cls, names: Sequence[str], covers: Iterable[tuple[int, int]]) -> "Poset":
@@ -139,6 +161,8 @@ class Poset:
     # -- element and subset plumbing --------------------------------------
 
     def index(self, name: str) -> int:
+        if self._index is None:
+            self._index = {s: i for i, s in enumerate(self.names)}
         try:
             return self._index[name]
         except KeyError:
@@ -186,6 +210,13 @@ class Poset:
                 out |= 1 << i
         return out
 
+    def up_closure(self, mask: int) -> int:
+        """Every element above some member of the subset."""
+        out = 0
+        for i in iter_mask(mask):
+            out |= self.up[i]
+        return out
+
     # -- set comparisons ---------------------------------------------------
 
     def leq1(self, a: int, b: int) -> bool:
@@ -231,11 +262,6 @@ class Poset:
 
     def meet(self, x: int, y: int) -> Optional[int]:
         return self.meet_table[x][y]
-
-    def interval(self, a: int, b: int) -> int:
-        if not self.le(a, b):
-            raise PosetError(f"interval requires {self.names[a]} <= {self.names[b]}")
-        return self.up[a] & self.down[b]
 
     # -- structure ----------------------------------------------------------
 

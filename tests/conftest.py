@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from orthoposet.io_cli import document_to_op, load_fixture
 from orthoposet.poset_core import OpPoset, Poset
@@ -36,6 +37,20 @@ def benzene(fixture_ops):
 @pytest.fixture(scope="session")
 def cube8(fixture_ops):
     return fixture_ops["cube8"]
+
+
+@st.composite
+def bounded_posets(draw):
+    m = draw(st.integers(min_value=0, max_value=4))
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    bottom, top = m, m + 1
+    covers = [(bottom, i) for i in range(m)] + [(i, top) for i in range(m)]
+    covers += list(chosen)
+    if m == 0:
+        covers.append((bottom, top))
+    names = tuple(f"e{i}" for i in range(m + 2))
+    return Poset.from_covers(names, covers)
 
 
 def two_chain(prime=(1, 0)) -> OpPoset:

@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from orthoposet import enumeration, naive
+from orthoposet import enumeration, kernels, naive
 from orthoposet.enumeration import (
     SearchGoal,
     canonical_form,
@@ -58,6 +59,38 @@ def test_bounded_enumeration_matches_filter():
 def test_bounded_counts():
     assert sum(1 for _ in enumerate_posets(5)) == 380
     assert sum(1 for _ in enumerate_posets(6)) == 30 * 219
+
+
+# sha256 over the in-order repr((up, down, bottom, top)) of every bounded
+# poset with n <= 7, taken with the generator that validated every poset
+BOUNDED_ORDER_SHA256 = "4463ab8094047081438a3ea030b993cab2faf72871422c7145433c27049c444b"
+
+
+def test_bounded_enumeration_order_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for n in range(1, 8):
+        for p in enumerate_posets(n):
+            h.update(repr((p.up, p.down, p.bottom, p.top)).encode())
+            count += 1
+    assert count == 1 + 2 + 6 + 36 + 380 + 6570 + 177702
+    assert h.hexdigest() == BOUNDED_ORDER_SHA256
+
+
+def test_enumerated_posets_pass_the_validating_constructor():
+    for n in range(1, 7):
+        for p in enumerate_posets(n):
+            q = Poset(p.names, p.up)
+            assert p == q
+            assert (p.n, p.full, p.down, p.bottom, p.top) == (q.n, q.full, q.down, q.bottom, q.top)
+
+
+def test_middle_relation_is_validated(monkeypatch):
+    # 0 < 1 < 2 without 0 < 2: rows {0, 1}, {1, 2}, {2} at 3 bits each
+    code = 0b011 | 0b110 << 3 | 0b100 << 6
+    monkeypatch.setattr(kernels, "relation_codes", lambda m: [code])
+    with pytest.raises(PosetError, match="transitive"):
+        next(enumerate_posets(5))
 
 
 def test_enumeration_caps():

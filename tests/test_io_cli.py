@@ -2,6 +2,8 @@ import json
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoposet import naive
 from orthoposet.io_cli import (
@@ -22,6 +24,8 @@ from orthoposet.io_cli import (
 from orthoposet.poset_core import Poset, PosetError
 from orthoposet.properties import PROPERTY_NAMES, op_reports
 from orthoposet.sasaki import op_tables
+
+from conftest import bounded_posets
 
 FIXTURES = ("ex1.poset", "m3.poset", "fig3.poset", "benzene.poset", "cube8.poset")
 
@@ -98,6 +102,8 @@ def test_parse_error_carries_location():
         ("elements e x e", 14),  # the first match of "e" is inside the keyword
         ("elements 0 1 01\ncovers 0<01 0<0", 13),  # "0<0" also starts inside "0<01"
         ("elements 0 1 10\ncovers 0<10 10<1\nprime 10:1 0:1 1:0 0:1", 20),
+        ("elements 0 1 2\ncovers 0<1 1<2 2<0", 16),  # the cover that closes the cycle
+        ("elements 0 1", 1),  # no least element: the elements section
     ],
 )
 def test_parse_error_column_is_the_token_column(line, col):
@@ -122,6 +128,60 @@ def test_one_element_document():
 def test_multiline_covers():
     doc = load_fixture("fig3.poset")
     assert len(doc.covers) == 24
+
+
+@given(bounded_posets(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_roundtrip_property(p, data):
+    prime = data.draw(
+        st.none() | st.tuples(*[st.integers(min_value=0, max_value=p.n - 1)] * p.n), label="prime"
+    )
+    doc = poset_to_document(p, "random", prime)
+    assert parse_poset(serialize_document(doc)) == doc
+
+
+# Documents in the file format's shape with random labels, covers and prime
+# entries and random lines spliced in, so that random text often gets past
+# the section keywords to the label, cover, prime and order checks.
+_LABELS = st.sampled_from(["a", "b", "c", "d"])
+_TOKENS = (
+    _LABELS
+    | st.builds("{}<{}".format, _LABELS, _LABELS)
+    | st.builds("{}:{}".format, _LABELS, _LABELS)
+    | st.sampled_from(["<", ":", "a<b<c", "a:b:c", "#", "x#y"])
+    | st.text(max_size=3)
+)
+_LINES = st.builds(
+    lambda keyword, tokens: " ".join([keyword, *tokens]),
+    st.sampled_from(["poset", "elements", "covers", "prime", "orbit", ""]),
+    st.lists(_TOKENS, max_size=5),
+)
+
+
+@st.composite
+def _shaped_text(draw):
+    lines = [
+        "poset t",
+        " ".join(["elements", *draw(st.lists(_LABELS, max_size=4, unique=True))]),
+        " ".join(["covers", *draw(st.lists(st.builds("{}<{}".format, _LABELS, _LABELS), max_size=6))]),
+    ]
+    if draw(st.booleans()):
+        lines.append(" ".join(["prime", *draw(st.lists(st.builds("{}:{}".format, _LABELS, _LABELS), max_size=5))]))
+    for line in draw(st.lists(_LINES, max_size=2)):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), line)
+    return "\n".join(lines)
+
+
+documents_text = st.text() | _shaped_text()
+
+
+@given(documents_text)
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_text_parses_or_raises_parse_error(text):
+    try:
+        parse_poset(text)
+    except ParseError:
+        pass
 
 
 def test_document_without_prime_rejects_op(ex1):
@@ -417,3 +477,19 @@ def test_cli_parse_error_exit(tmp_path, capsys):
     bad.write_text("poset t\nelements 0 1\ncovers 0<1 1<0\n")
     assert main(["check", str(bad)]) == 2
     assert "antisymmetric" in capsys.readouterr().err
+
+
+@given(documents_text.map(str.encode) | st.binary())
+@settings(max_examples=150, deadline=None)
+def test_cli_check_on_arbitrary_text(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.poset"
+    path.write_bytes(data)
+    assert main(["check", str(path)]) in (0, 1, 2)
+
+
+def test_cli_non_utf8_file(tmp_path, capsys):
+    bad = tmp_path / "bad.poset"
+    # the column counts characters: the two-byte é before the bad byte is one
+    bad.write_bytes("poset t\nelements é ".encode("utf-8") + b"\xff\n")
+    assert main(["check", str(bad)]) == 2
+    assert "line 2, column 12: file is not valid UTF-8" in capsys.readouterr().err

@@ -13,7 +13,7 @@ from orthoposet.poset_core import (
     mask_of,
 )
 
-from conftest import two_chain
+from conftest import bounded_posets, two_chain
 
 
 # -- construction and validation -------------------------------------------
@@ -173,13 +173,14 @@ def test_min_upper_max_lower_match_minimal_maximal(fixture_ops, butterfly, penta
 
 
 def test_interval(ex1):
+    # the interval [a, b] is the mask up[a] & down[b]
     p = ex1.poset
-    assert p.names_of(p.interval(p.index("0"), p.index("c"))) == ("0", "a", "b", "c")
+    zero, c = p.index("0"), p.index("c")
+    assert p.names_of(p.up[zero] & p.down[c]) == ("0", "a", "b", "c")
     x = p.index("d")
-    assert p.interval(x, x) == 1 << x
-    assert p.interval(p.bottom, p.top) == p.full
-    with pytest.raises(PosetError, match="interval"):
-        p.interval(p.index("c"), p.index("a"))
+    assert p.up[x] & p.down[x] == 1 << x
+    assert p.up[p.bottom] & p.down[p.top] == p.full
+    assert p.up[c] & p.down[p.index("a")] == 0
 
 
 def test_covers_and_relabel(ex1):
@@ -198,20 +199,6 @@ def test_mask_helpers():
 
 
 # -- law checks on random bounded posets ------------------------------------
-
-
-@st.composite
-def bounded_posets(draw):
-    m = draw(st.integers(min_value=0, max_value=4))
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    bottom, top = m, m + 1
-    covers = [(bottom, i) for i in range(m)] + [(i, top) for i in range(m)]
-    covers += list(chosen)
-    if m == 0:
-        covers.append((bottom, top))
-    names = tuple(f"e{i}" for i in range(m + 2))
-    return Poset.from_covers(names, covers)
 
 
 @given(bounded_posets(), st.data())
@@ -246,6 +233,19 @@ def test_bound_operator_laws(p, data):
         for y in iter_mask(b):
             assert p.leq1(1 << x, 1 << y) == p.le(x, y)
             assert p.leq2(1 << x, 1 << y) == p.le(x, y)
+
+
+@given(bounded_posets(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_up_closure_comparison_is_leq2(p, data):
+    a = data.draw(st.integers(min_value=0, max_value=p.full), label="a")
+    b = data.draw(st.integers(min_value=0, max_value=p.full), label="b")
+    closure = p.up_closure(a)
+    assert (not b & ~closure) == p.leq2(a, b)
+    # the closure is exactly the elements with a lower bound in a
+    assert p.leq2(a, closure)
+    for x in range(p.n):
+        assert bool((closure >> x) & 1) == p.leq2(a, 1 << x)
 
 
 @given(bounded_posets())

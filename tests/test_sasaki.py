@@ -95,10 +95,10 @@ def test_tables_shape_and_bounds(ex1, m3):
         assert ot.kind == "odot" and at.kind == "arrow"
         for x in range(p.n):
             for y in range(p.n):
-                cell = ot.cell(x, y)
+                cell = ot.cells[x][y]
                 assert cell, "cells are nonempty on orthogonal carriers"
                 assert cell & ~p.down[y] == 0
-                acell = at.cell(x, y)
+                acell = at.cells[x][y]
                 assert acell
                 assert acell & ~p.up[op.prime[x]] == 0
 
