@@ -7,6 +7,7 @@ duplicate-free and cross-checked against the naive filters in tests.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -131,13 +132,15 @@ class SearchGoal:
 
 
 def instance_flag_map(op: OpPoset) -> dict[str, bool]:
-    """Flag values for one instance, recomputed from scratch with the core
-    deciders (the slow, witness-producing route). Used to replay search hits."""
-    p = op.poset
+    """Flag values for one instance, from the core deciders (the slow,
+    witness-producing route). Used to replay search hits.
+
+    The poset-level flags (saturated, modular, lattice) come from a one-entry
+    cache keyed on the poset, since a search streams all hits on one poset in
+    a row; the operation-level flags are recomputed from scratch every call.
+    """
     flags = {
-        "saturated": is_saturated(p).holds,
-        "modular": is_modular(p).holds,
-        "lattice": is_lattice(p).holds,
+        **_poset_flag_map(op.poset),
         "orthogonal": is_orthogonal(op).holds,
         "complemented": is_complementation(op).holds,
         "antitone": is_antitone(op).holds,
@@ -158,19 +161,27 @@ def instance_flag_map(op: OpPoset) -> dict[str, bool]:
     return flags
 
 
+@functools.lru_cache(maxsize=1)
+def _poset_flag_map(p: Poset) -> dict[str, bool]:
+    return {
+        "saturated": is_saturated(p).holds,
+        "modular": is_modular(p).holds,
+        "lattice": is_lattice(p).holds,
+    }
+
+
 def _kernel_flag_map(poset_flags: dict[str, bool], bits: int) -> dict[str, bool]:
     flags = {**poset_flags, **{name: bool(bits & flag) for name, flag in kernels.FLAG_NAMES}}
     flags["adjoint"] = flags["a1"] and flags["a2"]
     return flags
 
 
-def _goal_maps(p: Poset, goal: SearchGoal, poset_index: int):
-    if "complemented" in goal.require:
-        candidates = complement_candidates(p)
-        if any(not c for c in candidates):
-            return
-        for prime in itertools.product(*candidates):
-            yield prime
+def _goal_maps(p: Poset, goal: SearchGoal, poset_index: int, candidates):
+    """The maps to try on p: every choice from ``candidates`` (p's complement
+    lists, given when the goal requires "complemented"), else all maps for
+    n <= 4 and a sample seeded by the goal, n and ``poset_index`` above that."""
+    if candidates is not None:
+        yield from itertools.product(*candidates)
         return
     if p.n <= 4:
         yield from itertools.product(range(p.n), repeat=p.n)
@@ -191,21 +202,39 @@ def search(goal: SearchGoal) -> Iterator[OpPoset]:
     Flags a1/a2/adjoint are False wherever the operations are not total
     (nothing to be adjoint about). Complementation maps are enumerated
     exhaustively when the goal requires "complemented"; otherwise all maps
-    for n <= 4 and a seeded sample per poset above that. The poset-level
-    deciders (saturated, modular, lattice) run only when the goal names them,
-    and a poset is packed only once it yields a map.
+    for n <= 4 and a seeded sample per poset above that. A poset is packed
+    only once it yields a map.
+
+    The poset-level verdict (the deciders the goal names among saturated,
+    modular and lattice, and, when it requires "complemented", whether every
+    element has a complement) is decided once per middle relation ("frame").
+    ``enumerate_posets(n)`` yields bottom x top x ``relation_codes(n - 2)``,
+    so poset ``idx`` is a relabeled copy of frame ``idx % F``, and all copies
+    are isomorphic; the verdict is an isomorphism invariant, so it is taken
+    on the frame's first copy and reused for the others.
     """
     found = 0
     # looked up per call, so a rebound module-global decider is the one run
     deciders = {"saturated": is_saturated, "modular": is_modular, "lattice": is_lattice}
     named = [f for f in deciders if f in goal.require | goal.forbid]
+    # every poset that passes has exactly these poset-level flags
+    poset_flags = {f: f in goal.require for f in named}
+    complemented = "complemented" in goal.require
     for n in range(1, goal.max_n + 1):
+        frames = len(kernels.relation_codes(n - 2)) if n > 2 else 1
+        verdicts = []
         for idx, p in enumerate(enumerate_posets(n)):
-            poset_flags = {f: deciders[f](p).holds for f in named}
-            if any(poset_flags[f] != (f in goal.require) for f in named):
+            frame = idx % frames
+            if idx == frame:
+                verdicts.append(all(deciders[f](p).holds == poset_flags[f] for f in named))
+            if not verdicts[frame]:
+                continue
+            candidates = complement_candidates(p) if complemented else None
+            if candidates is not None and not all(candidates):
+                verdicts[frame] = False
                 continue
             packed = None  # packed on the poset's first map
-            for prime in _goal_maps(p, goal, idx):
+            for prime in _goal_maps(p, goal, idx, candidates):
                 packed = packed or kernels.pack_poset(p)
                 bits = kernels.instance_flags(packed, prime)
                 flags = _kernel_flag_map(poset_flags, bits)

@@ -14,8 +14,9 @@ from orthoposet.enumeration import (
     instance_flag_map,
     search,
 )
-from orthoposet.poset_core import OpPoset, Poset, PosetError
-from orthoposet.properties import is_orthogonal
+from orthoposet.adjoint import is_adjoint_pair
+from orthoposet.poset_core import OpPoset, Poset, PosetError, UndefinedOperationError
+from orthoposet.properties import is_lattice, is_modular, is_orthogonal, is_saturated, op_reports, poset_reports
 
 POSET_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219}
 
@@ -293,3 +294,130 @@ def test_search_sampling_path_is_seeded():
     first = [(op.poset.up, op.prime) for op in search(goal)]
     second = [(op.poset.up, op.prime) for op in search(goal)]
     assert first == second and len(first) == 4
+
+
+# -- per-frame verdicts and the replay cache ----------------------------------
+
+POSET_DECIDERS = {"saturated": is_saturated, "modular": is_modular, "lattice": is_lattice}
+
+
+def _frame_copies(n):
+    """(poset, first copy of its frame) over enumerate_posets(n), whose order
+    is bottom x top x relation_codes(n - 2)."""
+    frames = len(kernels.relation_codes(n - 2)) if n > 2 else 1
+    posets = list(enumerate_posets(n))
+    return [(p, posets[idx % frames]) for idx, p in enumerate(posets)]
+
+
+def test_poset_verdicts_agree_across_copies_of_a_frame():
+    for n in range(1, 6):
+        for p, first in _frame_copies(n):
+            for name, decider in POSET_DECIDERS.items():
+                assert decider(p).holds == decider(first).holds, (name, p.up)
+            assert all(complement_candidates(p)) == all(complement_candidates(first))
+
+
+def _brute_force_hits(goal):
+    """Every decider on every poset; maps from the same source as search."""
+    hits = []
+    for n in range(1, goal.max_n + 1):
+        for idx, p in enumerate(enumerate_posets(n)):
+            poset_flags = {name: decider(p).holds for name, decider in POSET_DECIDERS.items()}
+            if not all(poset_flags[f] for f in goal.require & poset_flags.keys()) or any(
+                poset_flags[f] for f in goal.forbid & poset_flags.keys()
+            ):
+                continue
+            if "complemented" in goal.require:
+                maps = itertools.product(*complement_candidates(p))
+            else:
+                maps = enumeration._goal_maps(p, goal, idx, None)
+            packed = kernels.pack_poset(p)
+            for prime in maps:
+                flags = enumeration._kernel_flag_map(poset_flags, kernels.instance_flags(packed, prime))
+                if all(flags[f] for f in goal.require) and not any(flags[f] for f in goal.forbid):
+                    hits.append((p.up, prime))
+    return hits
+
+
+# every bounded poset on five or fewer elements is a lattice, so forbidding
+# lattice needs n = 6 to find anything
+@pytest.mark.parametrize(
+    "require, forbid, max_n",
+    [
+        ({"saturated"}, set(), 5),
+        (set(), {"saturated"}, 5),
+        ({"modular"}, set(), 5),
+        (set(), {"modular"}, 5),
+        ({"lattice"}, set(), 5),
+        (set(), {"lattice"}, 6),
+        ({"complemented"}, set(), 5),
+        ({"modular", "complemented"}, {"orthomodular"}, 5),
+    ],
+)
+def test_search_matches_brute_force_filter(require, forbid, max_n):
+    goal = SearchGoal(require=frozenset(require), forbid=frozenset(forbid), max_n=max_n, map_samples=2)
+    got = [(op.poset.up, op.prime) for op in search(goal)]
+    assert got == _brute_force_hits(goal)
+    # saturated holds on every finite poset, so only forbidding it finds nothing
+    assert bool(got) != (forbid == {"saturated"})
+
+
+def test_search_decides_once_per_frame(monkeypatch):
+    modular_calls = []
+    candidate_calls = []
+
+    def counting_modular(p):
+        modular_calls.append(p)
+        return is_modular(p)
+
+    def recording_candidates(p):
+        candidate_calls.append(p)
+        return complement_candidates(p)
+
+    monkeypatch.setattr(enumeration, "is_modular", counting_modular)
+    monkeypatch.setattr(enumeration, "complement_candidates", recording_candidates)
+    goal = SearchGoal(require=frozenset({"modular", "complemented"}), forbid=frozenset({"orthomodular"}), max_n=5)
+    assert list(search(goal))
+    assert len(modular_calls) == 1 + 1 + 1 + 3 + 19  # frames per n, once each
+    want = [
+        p
+        for n in range(1, 6)
+        for p, first in _frame_copies(n)
+        if is_modular(first).holds and (p is first or all(complement_candidates(first)))
+    ]
+    assert [p.up for p in candidate_calls] == [p.up for p in want]
+
+
+def _fresh_flags(op):
+    flags = {name: r.holds for name, r in {**poset_reports(op.poset), **op_reports(op)}.items()}
+    try:
+        report = is_adjoint_pair(op)
+    except UndefinedOperationError:
+        flags.update(total=False, a1=False, a2=False, adjoint=False)
+    else:
+        flags.update(total=True, a1=report.a1, a2=report.a2, adjoint=report.adjoint)
+    return flags
+
+
+def test_replay_decides_poset_flags_once_per_run_of_hits(monkeypatch):
+    by_poset = {}
+    for op in search(SearchGoal(require=frozenset({"complemented"}), max_n=5)):
+        by_poset.setdefault(op.poset, []).append(op)
+    # A modular and B not (M3 and N5 both have several complementations), so
+    # a flag map left over from the other poset shows
+    a = next(ops for p, ops in by_poset.items() if len(ops) > 1 and is_modular(p).holds)
+    b = next(ops for p, ops in by_poset.items() if len(ops) > 1 and not is_modular(p).holds)
+    hits = a + b + a
+    calls = []
+
+    def counting_modular(p):
+        calls.append(p)
+        return is_modular(p)
+
+    monkeypatch.setattr(enumeration, "is_modular", counting_modular)
+    enumeration._poset_flag_map.cache_clear()
+    for op in hits:
+        assert instance_flag_map(op) == _fresh_flags(op)
+    # one run of consecutive hits per poset: A, then B, then A again
+    assert [p.up for p in calls] == [a[0].poset.up, b[0].poset.up, a[0].poset.up]
+    assert len(hits) > len(calls)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -493,3 +497,22 @@ def test_cli_non_utf8_file(tmp_path, capsys):
     bad.write_bytes("poset t\nelements é ".encode("utf-8") + b"\xff\n")
     assert main(["check", str(bad)]) == 2
     assert "line 2, column 12: file is not valid UTF-8" in capsys.readouterr().err
+
+
+def _run_module(*args):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "orthoposet", *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_module_entry_point_runs_the_cli():
+    fixture = Path(__file__).resolve().parent.parent / "src" / "orthoposet" / "fixtures" / "cube8.poset"
+    done = _run_module("check", str(fixture))
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert _run_module("search", "--limit", "0").returncode == 2
