@@ -176,17 +176,38 @@ def _kernel_flag_map(poset_flags: dict[str, bool], bits: int) -> dict[str, bool]
     return flags
 
 
-def _goal_maps(p: Poset, goal: SearchGoal, poset_index: int, candidates):
-    """The maps to try on p: every choice from ``candidates`` (p's complement
-    lists, given when the goal requires "complemented"), else all maps for
-    n <= 4 and a sample seeded by the goal, n and ``poset_index`` above that."""
-    if candidates is not None:
-        yield from itertools.product(*candidates)
-        return
+def complementations(index: int, p: Poset) -> Iterator[tuple[int, ...]]:
+    """Map source for ``sweep``: every complementation of p, each element
+    sent to one of its complements."""
+    return itertools.product(*complement_candidates(p))
+
+
+def all_maps(index: int, p: Poset) -> Iterator[tuple[int, ...]]:
+    """Map source for ``sweep``: every unary map on p."""
+    return itertools.product(range(p.n), repeat=p.n)
+
+
+def sweep(n: int, maps) -> Iterator[tuple[int, Poset, tuple[int, ...], int]]:
+    """``(index, poset, prime, flag bits)`` for every ``prime`` in
+    ``maps(index, poset)`` over ``enumerate(enumerate_posets(n))``.
+
+    A poset is packed only when its first map arrives, so a source that
+    yields nothing for a poset costs no join/meet tables.
+    """
+    for index, p in enumerate(enumerate_posets(n)):
+        packed = None
+        for prime in maps(index, p):
+            if packed is None:
+                packed = kernels.pack_poset(p)
+            yield index, p, prime, kernels.instance_flags(packed, prime)
+
+
+def _sampled_maps(goal: SearchGoal, index: int, p: Poset) -> Iterator[tuple[int, ...]]:
+    """All maps for n <= 4, else a sample seeded by the goal, n and index."""
     if p.n <= 4:
-        yield from itertools.product(range(p.n), repeat=p.n)
+        yield from all_maps(index, p)
         return
-    rng = random.Random(f"{goal.seed}:{p.n}:{poset_index}")
+    rng = random.Random(f"{goal.seed}:{p.n}:{index}")
     seen = set()
     budget = min(p.n ** p.n, goal.map_samples)
     while len(seen) < budget:
@@ -196,55 +217,59 @@ def _goal_maps(p: Poset, goal: SearchGoal, poset_index: int, candidates):
             yield prime
 
 
+def _goal_maps(goal: SearchGoal, n: int, poset_flags: dict[str, bool]):
+    """The map source of ``search`` on carriers of size n.
+
+    A poset passes when the deciders named in ``poset_flags`` give its values
+    and, if the goal requires "complemented", every element has a complement;
+    it then gets its complementations, or else ``_sampled_maps``. The verdict
+    is an isomorphism invariant, decided once per middle relation ("frame"):
+    ``enumerate_posets(n)`` yields bottom x top x ``relation_codes(n - 2)``,
+    so poset ``index`` is a relabeled copy of frame ``index % F``.
+    """
+    # looked up when the source is built, so a rebound module-global decider is the one run
+    deciders = {"saturated": is_saturated, "modular": is_modular, "lattice": is_lattice}
+    complemented = "complemented" in goal.require
+    frames = len(kernels.relation_codes(n - 2)) if n > 2 else 1
+    verdicts = []
+
+    def maps(index: int, p: Poset):
+        frame = index % frames
+        if index == frame:
+            verdicts.append(all(deciders[f](p).holds == want for f, want in poset_flags.items()))
+        if not verdicts[frame]:
+            return ()
+        if not complemented:
+            return _sampled_maps(goal, index, p)
+        candidates = complement_candidates(p)
+        if not all(candidates):
+            verdicts[frame] = False
+            return ()
+        return itertools.product(*candidates)
+
+    return maps
+
+
 def search(goal: SearchGoal) -> Iterator[OpPoset]:
     """Stream instances matching the goal, smallest carriers first.
 
     Flags a1/a2/adjoint are False wherever the operations are not total
-    (nothing to be adjoint about). Complementation maps are enumerated
-    exhaustively when the goal requires "complemented"; otherwise all maps
-    for n <= 4 and a seeded sample per poset above that. A poset is packed
-    only once it yields a map.
-
-    The poset-level verdict (the deciders the goal names among saturated,
-    modular and lattice, and, when it requires "complemented", whether every
-    element has a complement) is decided once per middle relation ("frame").
-    ``enumerate_posets(n)`` yields bottom x top x ``relation_codes(n - 2)``,
-    so poset ``idx`` is a relabeled copy of frame ``idx % F``, and all copies
-    are isomorphic; the verdict is an isomorphism invariant, so it is taken
-    on the frame's first copy and reused for the others.
+    (nothing to be adjoint about). The maps are ``_goal_maps``: every
+    complementation when the goal requires "complemented", otherwise all maps
+    for n <= 4 and a seeded sample per poset above that.
     """
     found = 0
-    # looked up per call, so a rebound module-global decider is the one run
-    deciders = {"saturated": is_saturated, "modular": is_modular, "lattice": is_lattice}
-    named = [f for f in deciders if f in goal.require | goal.forbid]
     # every poset that passes has exactly these poset-level flags
-    poset_flags = {f: f in goal.require for f in named}
-    complemented = "complemented" in goal.require
+    named = goal.require | goal.forbid
+    poset_flags = {f: f in goal.require for f in ("saturated", "modular", "lattice") if f in named}
     for n in range(1, goal.max_n + 1):
-        frames = len(kernels.relation_codes(n - 2)) if n > 2 else 1
-        verdicts = []
-        for idx, p in enumerate(enumerate_posets(n)):
-            frame = idx % frames
-            if idx == frame:
-                verdicts.append(all(deciders[f](p).holds == poset_flags[f] for f in named))
-            if not verdicts[frame]:
-                continue
-            candidates = complement_candidates(p) if complemented else None
-            if candidates is not None and not all(candidates):
-                verdicts[frame] = False
-                continue
-            packed = None  # packed on the poset's first map
-            for prime in _goal_maps(p, goal, idx, candidates):
-                packed = packed or kernels.pack_poset(p)
-                bits = kernels.instance_flags(packed, prime)
-                flags = _kernel_flag_map(poset_flags, bits)
-                if all(flags[f] for f in goal.require) and not any(
-                    flags[f] for f in goal.forbid
-                ):
-                    yield OpPoset(p, prime)
-                    found += 1
-                    if goal.limit is not None and found >= goal.limit:
-                        return
+        for _, p, prime, bits in sweep(n, _goal_maps(goal, n, poset_flags)):
+            flags = _kernel_flag_map(poset_flags, bits)
+            if all(flags[f] for f in goal.require) and not any(flags[f] for f in goal.forbid):
+                yield OpPoset(p, prime)
+                found += 1
+                if goal.limit is not None and found >= goal.limit:
+                    return
 
 
 def canonical_form(p: Poset) -> tuple[int, ...]:

@@ -508,8 +508,11 @@ def _cmd_dot(args) -> int:
     doc = _load_for_cli(args.file)
     text = export_dot(document_to_poset(doc))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PosetError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
     return 0
@@ -523,7 +526,7 @@ def _cmd_verify_paper(args) -> int:
         bad = [tok for tok in tokens if not (tok.strip().isdecimal() and int(tok) in known)]
         if bad:
             raise PosetError(f"unknown criterion {bad[0]!r} (choose from {min(known)}-{max(known)})")
-        numbers = sorted(int(tok) for tok in tokens)
+        numbers = sorted({int(tok) for tok in tokens})
     results = verify.run_all(numbers=numbers, progress=print)
     failed = [r for r in results if not r.passed]
     for r in results:

@@ -6,9 +6,14 @@ cross-checking the adjointness characterizations, the derived consequences,
 the projection laws, the totality criterion, the naive oracles and the
 enumeration counts. Exposed through the `verify-paper` CLI subcommand and
 mirrored one-to-one by tests/test_acceptance.py.
+
+Criteria 6-10 read ``(poset, prime, flag bits)`` tuples from two memoized
+runs of ``enumeration.sweep``: the orthogonal complementations on n <= 5
+(``sweep_instances``) and every unary map on n <= 4 (``all_map_instances``).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -23,10 +28,9 @@ from .adjoint import (
     find_o6_subalgebra,
     is_adjoint_pair,
 )
-from .enumeration import complement_candidates, enumerate_posets, enumerate_relations
+from .enumeration import all_maps, complementations, enumerate_posets, enumerate_relations, sweep
 from .poset_core import OpPoset, Poset, UndefinedOperationError, indices_of
 from .properties import (
-    is_antitone,
     is_complementation,
     is_involution,
     is_lattice,
@@ -40,6 +44,7 @@ from .sasaki import arrow, check_projection_laws, is_sasaki_total, odot, op_tabl
 POSET_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
 
 Progress = Optional[Callable[[str], None]]
+Instance = tuple[Poset, tuple[int, ...], int]  # (poset, prime, flag bits)
 
 
 @dataclass(frozen=True)
@@ -51,73 +56,47 @@ class CriterionResult:
     seconds: float
 
 
-@dataclass(frozen=True)
-class SweepInstance:
-    n: int
-    poset: Poset
-    prime: tuple[int, ...]
-    bits: int
-
-
-_caches: dict = {}
-
-
 def _fixture_op(name: str) -> OpPoset:
     from .io_cli import document_to_op, load_fixture
 
     return document_to_op(load_fixture(name))
 
 
-def sweep_instances(max_n: int = 5, progress: Progress = None) -> list[SweepInstance]:
+@functools.cache
+def sweep_instances(max_n: int = 5, progress: Progress = None) -> list[Instance]:
     """Every bounded poset on <= max_n elements crossed with every
-    complementation that makes it orthogonal, with kernel flag bits."""
-    key = ("sweep", max_n)
-    if key in _caches:
-        return _caches[key]
-    out: list[SweepInstance] = []
+    complementation that makes it orthogonal, with kernel flag bits. The
+    cache key includes ``progress``, which hears one line per n on a build."""
+    out = []
     for n in range(1, max_n + 1):
         posets = 0
+
+        def maps(index: int, p: Poset):
+            nonlocal posets
+            posets = index + 1
+            return complementations(index, p)
+
         kept = 0
-        for p in enumerate_posets(n):
-            posets += 1
-            cands = complement_candidates(p)
-            if any(not c for c in cands):
-                continue
-            packed = kernels.pack_poset(p)
-            for prime in itertools.product(*cands):
-                bits = kernels.instance_flags(packed, prime)
-                if bits & kernels.FLAG_ORTHOGONAL:
-                    out.append(SweepInstance(n, p, prime, bits))
-                    kept += 1
+        for _, p, prime, bits in sweep(n, maps):
+            if bits & kernels.FLAG_ORTHOGONAL:
+                out.append((p, prime, bits))
+                kept += 1
         if progress:
             progress(f"n={n}: {posets} bounded posets, {kept} orthogonal complemented instances")
-    _caches[key] = out
     return out
 
 
-def all_map_instances(max_n: int = 4) -> list[SweepInstance]:
+@functools.cache
+def all_map_instances(max_n: int = 4) -> list[Instance]:
     """Every bounded poset on <= max_n elements crossed with every unary map."""
-    key = ("allmaps", max_n)
-    if key in _caches:
-        return _caches[key]
-    out: list[SweepInstance] = []
-    for n in range(1, max_n + 1):
-        for p in enumerate_posets(n):
-            packed = kernels.pack_poset(p)
-            for prime in itertools.product(range(n), repeat=n):
-                bits = kernels.instance_flags(packed, prime)
-                out.append(SweepInstance(n, p, prime, bits))
-    _caches[key] = out
-    return out
+    return [
+        (p, prime, bits) for n in range(1, max_n + 1) for _, p, prime, bits in sweep(n, all_maps)
+    ]
 
 
+@functools.cache
 def _bounded_pool(max_n: int = 5) -> dict[int, list[Poset]]:
-    key = ("pool", max_n)
-    if key in _caches:
-        return _caches[key]
-    pool = {n: list(enumerate_posets(n)) for n in range(1, max_n + 1)}
-    _caches[key] = pool
-    return pool
+    return {n: list(enumerate_posets(n)) for n in range(1, max_n + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +245,19 @@ def _criterion_6(progress: Progress) -> tuple[bool, str]:
     instances = sweep_instances(5, progress)
     group1 = (kernels.FLAG_A1, kernels.FLAG_COND_I, kernels.FLAG_COND_II, kernels.FLAG_COND_III)
     group2 = (kernels.FLAG_A2, kernels.FLAG_COND_IV, kernels.FLAG_COND_V, kernels.FLAG_COND_VI)
-    for inst in instances:
-        vals1 = {bool(inst.bits & f) for f in group1}
-        vals2 = {bool(inst.bits & f) for f in group2}
+    for p, prime, bits in instances:
+        vals1 = {bool(bits & f) for f in group1}
+        vals2 = {bool(bits & f) for f in group2}
         if len(vals1) != 1 or len(vals2) != 1:
-            return False, f"equivalence broken on n={inst.n} prime={inst.prime}"
+            return False, f"equivalence broken on n={p.n} prime={prime}"
     # replay a deterministic subsample against the slow, witness-producing path
     replayed = 0
-    for inst in instances[::53]:
-        op = OpPoset(inst.poset, inst.prime)
-        rep = is_adjoint_pair(op)
+    for p, prime, bits in instances[::53]:
+        rep = is_adjoint_pair(OpPoset(p, prime))
         want = {"a1": rep.a1, "a2": rep.a2, **rep.conditions}
         for name, flag in kernels.FLAG_NAMES + kernels.CONDITION_FLAGS:
-            if name in want and bool(inst.bits & flag) != want[name]:
-                return False, f"kernel/core disagreement on n={inst.n} prime={inst.prime}"
+            if name in want and bool(bits & flag) != want[name]:
+                return False, f"kernel/core disagreement on n={p.n} prime={prime}"
         replayed += 1
     return True, f"{len(instances)} instances, equivalences hold; {replayed} replayed on the slow path"
 
@@ -287,11 +265,11 @@ def _criterion_6(progress: Progress) -> tuple[bool, str]:
 def _criterion_7(progress: Progress) -> tuple[bool, str]:
     instances = sweep_instances(5, progress)
     omod = 0
-    for inst in instances:
-        if inst.bits & kernels.FLAG_ORTHOMODULAR:
+    for p, prime, bits in instances:
+        if bits & kernels.FLAG_ORTHOMODULAR:
             omod += 1
-            if not (inst.bits & kernels.FLAG_A1 and inst.bits & kernels.FLAG_A2):
-                return False, f"orthomodular but not adjoint: n={inst.n} prime={inst.prime}"
+            if not (bits & kernels.FLAG_A1 and bits & kernels.FLAG_A2):
+                return False, f"orthomodular but not adjoint: n={p.n} prime={prime}"
     for name in ("fig3.poset", "cube8.poset"):
         op = _fixture_op(name)
         if not is_orthomodular(op).holds:
@@ -303,38 +281,33 @@ def _criterion_7(progress: Progress) -> tuple[bool, str]:
 
 def _criterion_8(progress: Progress) -> tuple[bool, str]:
     checked = 0
-    for inst in sweep_instances(5, progress):
-        op = OpPoset(inst.poset, inst.prime)
-        if not check_adjointness_consequences(op).holds:
-            return False, f"consequence fails on n={inst.n} prime={inst.prime}"
+    for p, prime, _ in sweep_instances(5, progress):
+        if not check_adjointness_consequences(OpPoset(p, prime)).holds:
+            return False, f"consequence fails on n={p.n} prime={prime}"
         checked += 1
     # Arbitrary unary maps: the full "arrow = {top} iff x <= y" needs the
     # join identity x v x' = top, which only the first direction grants, so
     # here only its forward half is a theorem (see the constant-bottom map
     # on the 2-chain: a2 holds yet 0 -> 0 = {bottom}).
     extra = 0
-    for inst in all_map_instances(4):
-        if not inst.bits & kernels.FLAG_ORTHOGONAL:
+    for p, prime, bits in all_map_instances(4):
+        if not bits & kernels.FLAG_ORTHOGONAL:
             continue
-        op = OpPoset(inst.poset, inst.prime)
-        p = inst.poset
-        a1 = bool(inst.bits & kernels.FLAG_A1)
-        a2 = bool(inst.bits & kernels.FLAG_A2)
-        if a1 and any(p.join(x, inst.prime[x]) != p.top for x in range(p.n)):
-            return False, f"a1 without join identity: n={inst.n} prime={inst.prime}"
-        if a2 and any(p.meet(x, inst.prime[x]) != p.bottom for x in range(p.n)):
-            return False, f"a2 without meet identity: n={inst.n} prime={inst.prime}"
+        op = OpPoset(p, prime)
+        a1 = bool(bits & kernels.FLAG_A1)
+        a2 = bool(bits & kernels.FLAG_A2)
+        if a1 and any(p.join(x, prime[x]) != p.top for x in range(p.n)):
+            return False, f"a1 without join identity: n={p.n} prime={prime}"
+        if a2 and any(p.meet(x, prime[x]) != p.bottom for x in range(p.n)):
+            return False, f"a2 without meet identity: n={p.n} prime={prime}"
         if a2:
             top_mask = 1 << p.top
             for x in range(p.n):
                 for y in range(p.n):
                     if arrow(op, x, y) == top_mask and not p.le(x, y):
-                        return False, (
-                            f"arrow hits top above incomparables: n={inst.n} "
-                            f"prime={inst.prime}"
-                        )
+                        return False, f"arrow hits top above incomparables: n={p.n} prime={prime}"
         if a1 and a2 and not is_complementation(op).holds:
-            return False, f"adjoint without complementation: n={inst.n} prime={inst.prime}"
+            return False, f"adjoint without complementation: n={p.n} prime={prime}"
         extra += 1
     return True, f"{checked} complemented + {extra} arbitrary-map orthogonal instances"
 
@@ -342,32 +315,26 @@ def _criterion_8(progress: Progress) -> tuple[bool, str]:
 def _criterion_9(progress: Progress) -> tuple[bool, str]:
     checked = 0
     omod = 0
-    for inst in sweep_instances(5, progress):
-        op = OpPoset(inst.poset, inst.prime)
-        rep = check_projection_laws(op)
+    for p, prime, bits in sweep_instances(5, progress):
+        rep = check_projection_laws(OpPoset(p, prime))
         if not rep.holds:
-            return False, (
-                f"projection law fails on n={inst.n} prime={inst.prime}: "
-                f"{rep.witness.condition}"
-            )
+            return False, f"projection law fails on n={p.n} prime={prime}: {rep.witness.condition}"
         checked += 1
-        if inst.bits & kernels.FLAG_ORTHOMODULAR:
+        if bits & kernels.FLAG_ORTHOMODULAR:
             omod += 1
     return True, f"{checked} orthogonal instances ({omod} orthomodular) pass"
 
 
 def _criterion_10(progress: Progress) -> tuple[bool, str]:
     instances = all_map_instances(4)
-    for inst in instances:
-        total = bool(inst.bits & kernels.FLAG_TOTAL)
-        orth = bool(inst.bits & kernels.FLAG_ORTHOGONAL)
-        if total != orth:
-            return False, f"totality/orthogonality split on n={inst.n} prime={inst.prime}"
+    for p, prime, bits in instances:
+        if bool(bits & kernels.FLAG_TOTAL) != bool(bits & kernels.FLAG_ORTHOGONAL):
+            return False, f"totality/orthogonality split on n={p.n} prime={prime}"
     replayed = 0
-    for inst in instances[::97]:
-        op = OpPoset(inst.poset, inst.prime)
+    for p, prime, _ in instances[::97]:
+        op = OpPoset(p, prime)
         if is_sasaki_total(op) != is_orthogonal(op).holds:
-            return False, f"slow-path split on n={inst.n} prime={inst.prime}"
+            return False, f"slow-path split on n={p.n} prime={prime}"
         replayed += 1
     return True, f"{len(instances)} instances agree; {replayed} replayed on the slow path"
 

@@ -260,6 +260,25 @@ def test_complemented_search_packs_only_complemented_posets(monkeypatch):
     assert packed == want
 
 
+def test_sweep_packs_a_poset_only_when_its_first_map_arrives(monkeypatch):
+    packed = []
+
+    def counting_pack(p):
+        packed.append(p)
+        return pack_poset(p)
+
+    pack_poset = kernels.pack_poset
+    monkeypatch.setattr(kernels, "pack_poset", counting_pack)
+    rows = list(enumeration.sweep(5, enumeration.complementations))
+    assert packed == [p for p in enumerate_posets(5) if all(complement_candidates(p))]
+    assert len(packed) == 140 and len(rows) == 400
+    # only packing is counted here, so the flags of the 380 * 5**5 maps are not computed
+    monkeypatch.setattr(kernels, "instance_flags", lambda packed, prime: 0)
+    packed.clear()
+    assert sum(1 for _ in enumeration.sweep(5, enumeration.all_maps)) == 380 * 5**5
+    assert len(packed) == 380
+
+
 def test_search_orthomodular_always_adjoint_small():
     goal = SearchGoal(
         require=frozenset({"orthomodular"}), forbid=frozenset({"adjoint"}), max_n=4
@@ -330,7 +349,7 @@ def _brute_force_hits(goal):
             if "complemented" in goal.require:
                 maps = itertools.product(*complement_candidates(p))
             else:
-                maps = enumeration._goal_maps(p, goal, idx, None)
+                maps = enumeration._sampled_maps(goal, idx, p)
             packed = kernels.pack_poset(p)
             for prime in maps:
                 flags = enumeration._kernel_flag_map(poset_flags, kernels.instance_flags(packed, prime))

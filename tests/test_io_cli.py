@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthoposet import naive
+from orthoposet import naive, verify
 from orthoposet.io_cli import (
     REPORT_SCHEMA,
     ParseError,
@@ -457,10 +458,45 @@ def test_cli_dot(tmp_path, capsys):
     assert capsys.readouterr().out.count("->") == 10
 
 
+def test_cli_dot_unwritable_output(tmp_path, capsys):
+    ex1 = fixture_path(tmp_path, "ex1.poset")
+    target = tmp_path / "missing" / "out.gv"
+    assert main(["dot", ex1, "-o", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_cli_verify_paper_subset(capsys):
     assert main(["verify-paper", "--criteria", "1,2,3"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 3
+
+
+def test_cli_verify_paper_runs_each_criterion_once_in_order(capsys):
+    assert main(["verify-paper", "--criteria", "2,1,1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[:7] for line in lines] == ["[ 1/12]", "[ 2/12]"]
+
+
+# stdout of `verify-paper --criteria 6,7,8,9,10` with the timings stripped;
+# the per-n lines are the sweep's progress, printed once, when it is built
+VERIFY_SWEEPS_STDOUT = """\
+n=1: 1 bounded posets, 1 orthogonal complemented instances
+n=2: 2 bounded posets, 2 orthogonal complemented instances
+n=3: 6 bounded posets, 0 orthogonal complemented instances
+n=4: 36 bounded posets, 12 orthogonal complemented instances
+n=5: 380 bounded posets, 400 orthogonal complemented instances
+[ 6/12] PASS adjunction condition equivalences over the n<=5 sweep 415 instances, equivalences hold; 8 replayed on the slow path
+[ 7/12] PASS orthomodular implies adjoint over the sweep 15 orthomodular sweep instances plus fixtures, all adjoint
+[ 8/12] PASS adjointness consequences over the sweep 415 complemented + 9387 arbitrary-map orthogonal instances
+[ 9/12] PASS projection laws over the sweep 415 orthogonal instances (15 orthomodular) pass
+[10/12] PASS totality equals orthogonality for arbitrary maps 9387 instances agree; 97 replayed on the slow path
+"""
+
+
+def test_cli_verify_paper_sweep_output_pinned(capsys):
+    verify.sweep_instances.cache_clear()  # so this run builds the sweep
+    assert main(["verify-paper", "--criteria", "6,7,8,9,10"]) == 0
+    assert re.sub(r" \(\d+\.\d\ds\)", "", capsys.readouterr().out) == VERIFY_SWEEPS_STDOUT
 
 
 @pytest.mark.parametrize("criteria, bad", [("99", "'99'"), ("x", "'x'"), ("1,99", "'99'"), ("1,,2", "''")])

@@ -10,7 +10,7 @@ import pytest
 
 from orthoposet import kernels
 from orthoposet.adjoint import is_adjoint_pair
-from orthoposet.enumeration import enumerate_posets, instance_flag_map
+from orthoposet.enumeration import all_maps, enumerate_posets, instance_flag_map, sweep
 from orthoposet.poset_core import CARRIER_CAP, OpPoset, Poset, PosetError, indices_of
 
 CORE_FLAGS = kernels.FLAG_NAMES
@@ -90,12 +90,7 @@ def test_flags_on_fixtures_match_core(fixture_ops, butterfly):
 
 
 def test_flags_pinned_on_every_map_up_to_n4():
-    rows = []
-    for n in range(1, 5):
-        for p in enumerate_posets(n):
-            packed = kernels.pack_poset(p)
-            for prime in itertools.product(range(n), repeat=n):
-                rows.append((p.up, prime, kernels.instance_flags(packed, prime)))
+    rows = [(p.up, prime, bits) for n in range(1, 5) for _, p, prime, bits in sweep(n, all_maps)]
     assert len(rows) == ALL_MAPS_N4_ROWS
     h = hashlib.sha256()
     for row in sorted(rows):

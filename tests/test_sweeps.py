@@ -1,19 +1,13 @@
 """Six-element sweeps: the exhaustive n<=5 ground is covered by the
 acceptance suite; these check the same invariants one size up."""
 import hashlib
-import itertools
 import random
 
 import pytest
 
 from orthoposet import kernels
 from orthoposet.adjoint import check_directions, find_o6_subalgebra, is_adjoint_pair
-from orthoposet.enumeration import (
-    SearchGoal,
-    complement_candidates,
-    enumerate_posets,
-    search,
-)
+from orthoposet.enumeration import SearchGoal, complementations, enumerate_posets, search, sweep
 from orthoposet.poset_core import OpPoset, Poset
 from orthoposet.properties import is_lattice, is_orthogonal
 from orthoposet.sasaki import is_sasaki_total
@@ -44,15 +38,7 @@ def _digest(rows) -> str:
 def sweep6():
     """(poset index, poset, prime, flag bits) of every complementation map
     on every bounded poset with n = 6."""
-    out = []
-    for idx, p in enumerate(enumerate_posets(6)):
-        cands = complement_candidates(p)
-        if any(not c for c in cands):
-            continue
-        packed = kernels.pack_poset(p)
-        for prime in itertools.product(*cands):
-            out.append((idx, p, prime, kernels.instance_flags(packed, prime)))
-    return out
+    return list(sweep(6, complementations))
 
 
 def test_sweep6_pinned(sweep6):
