@@ -7,7 +7,6 @@ duplicate-free and cross-checked against the naive filters in tests.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import random
@@ -17,17 +16,7 @@ from typing import Iterator, Optional
 from . import kernels
 from .adjoint import check_directions
 from .poset_core import OpPoset, Poset, PosetError, UndefinedOperationError, iter_mask
-from .properties import (
-    PROPERTY_NAMES,
-    is_antitone,
-    is_complementation,
-    is_involution,
-    is_lattice,
-    is_modular,
-    is_orthogonal,
-    is_orthomodular,
-    is_saturated,
-)
+from .properties import PROPERTY_NAMES, is_lattice, is_modular, is_saturated, op_reports
 from .sasaki import op_tables
 
 MAX_BOUNDED_N = 8
@@ -122,7 +111,7 @@ class SearchGoal:
         object.__setattr__(self, "forbid", forb)
         unknown = (req | forb) - set(SEARCH_FLAGS)
         if unknown:
-            raise PosetError(f"unknown search flags: {', '.join(sorted(unknown))}")
+            raise PosetError(f"unknown search flags: {', '.join(map(repr, sorted(unknown)))}")
         if req & forb:
             raise PosetError("require and forbid overlap")
         if not (1 <= self.max_n <= MAX_BOUNDED_N):
@@ -135,18 +124,11 @@ def instance_flag_map(op: OpPoset) -> dict[str, bool]:
     """Flag values for one instance, from the core deciders (the slow,
     witness-producing route). Used to replay search hits.
 
-    The poset-level flags (saturated, modular, lattice) come from a one-entry
-    cache keyed on the poset, since a search streams all hits on one poset in
-    a row; the operation-level flags are recomputed from scratch every call.
+    The property flags are ``op_reports``, whose poset-level part comes from
+    the one-entry cache of ``properties.poset_reports``; total/a1/a2/adjoint
+    come from one ``op_tables`` + ``check_directions`` pass.
     """
-    flags = {
-        **_poset_flag_map(op.poset),
-        "orthogonal": is_orthogonal(op).holds,
-        "complemented": is_complementation(op).holds,
-        "antitone": is_antitone(op).holds,
-        "involution": is_involution(op).holds,
-        "orthomodular": is_orthomodular(op).holds,
-    }
+    flags = {name: r.holds for name, r in op_reports(op).items()}
     try:
         odot_table, arrow_table = op_tables(op)
     except UndefinedOperationError:
@@ -159,15 +141,6 @@ def instance_flag_map(op: OpPoset) -> dict[str, bool]:
     flags["a2"] = a2
     flags["adjoint"] = a1 and a2
     return flags
-
-
-@functools.lru_cache(maxsize=1)
-def _poset_flag_map(p: Poset) -> dict[str, bool]:
-    return {
-        "saturated": is_saturated(p).holds,
-        "modular": is_modular(p).holds,
-        "lattice": is_lattice(p).holds,
-    }
 
 
 def _kernel_flag_map(poset_flags: dict[str, bool], bits: int) -> dict[str, bool]:

@@ -30,7 +30,7 @@ from .adjoint import (
 )
 from .enumeration import SEARCH_FLAGS, SearchGoal, instance_flag_map, search
 from .poset_core import OpPoset, Poset, PosetError, UndefinedOperationError
-from .properties import PROPERTY_NAMES, op_reports, poset_reports
+from .properties import PROPERTY_NAMES, PropertyReport, op_reports, poset_reports
 from .sasaki import OpTable, op_tables, sasaki_proj, sasaki_proj_dual
 
 
@@ -64,7 +64,7 @@ def parse_poset(text: str) -> PosetDocument:
     elements: list[str] = []
     covers: list[tuple[str, str]] = []
     prime: dict[str, str] = {}
-    seen_prime = False
+    prime_at = None  # (line, column) of the first prime keyword
     stage = -1
     elements_at = (1, 1)
     index: dict[str, int] = {}
@@ -119,7 +119,7 @@ def parse_poset(text: str) -> PosetDocument:
                         up[k] = row | up[j]
                 covers.append((a, b))
         else:
-            seen_prime = True
+            prime_at = prime_at or (lineno, col)
             for tok, tcol in body:
                 if tok.count(":") != 1:
                     raise ParseError(lineno, tcol, f"prime entry {tok!r} must be A:B")
@@ -134,12 +134,12 @@ def parse_poset(text: str) -> PosetDocument:
         raise ParseError(1, 1, "missing poset section")
     if not elements:
         raise ParseError(1, 1, "missing elements section")
-    if seen_prime:
+    if prime_at:
         missing = [e for e in elements if e not in prime]
         if missing:
-            raise ParseError(1, 1, f"prime map is partial; missing {', '.join(missing)}")
+            raise ParseError(*prime_at, f"prime map is partial; missing {', '.join(missing)}")
     doc = PosetDocument(
-        name, tuple(elements), tuple(covers), dict(prime) if seen_prime else None
+        name, tuple(elements), tuple(covers), dict(prime) if prime_at else None
     )
     try:
         document_to_poset(doc)  # validates the bounds and the carrier cap
@@ -236,16 +236,20 @@ def render_table(table: OpTable, fmt: str = "text") -> str:
             lines.append(",".join([p.names[x]] + cells))
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = {
-            "op": table.kind,
-            "elements": list(p.names),
-            "cells": [
-                [list(p.names_of(table.cells[x][y])) for y in range(p.n)]
-                for x in range(p.n)
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(_table_payload(table), indent=2) + "\n"
     raise PosetError(f"unknown table format {fmt!r}")
+
+
+def _table_payload(table: OpTable) -> dict:
+    p = table.poset
+    return {
+        "op": table.kind,
+        "elements": list(p.names),
+        "cells": [
+            [list(p.names_of(table.cells[x][y])) for y in range(p.n)]
+            for x in range(p.n)
+        ],
+    }
 
 
 def _dot_id(name: str) -> str:
@@ -313,15 +317,20 @@ REPORT_SCHEMA = {
 }
 
 
+def _profile(doc: PosetDocument) -> tuple[Poset, Optional[OpPoset], dict[str, PropertyReport]]:
+    """The document's poset, its instance (None without a prime section) and
+    the property profile of the instance, or of the poset alone."""
+    if doc.prime is None:
+        p = document_to_poset(doc)
+        return p, None, poset_reports(p)
+    op = document_to_op(doc)
+    return op.poset, op, op_reports(op)
+
+
 def json_report(doc: PosetDocument) -> dict:
     """Stable-keyed structured report; adjointness only on orthogonal input."""
-    p = document_to_poset(doc)
+    p, op, reports = _profile(doc)
     out: dict = {"name": doc.name, "n": p.n}
-    if doc.prime is None:
-        reports = poset_reports(p)
-    else:
-        op = document_to_op(doc)
-        reports = op_reports(op)
     out["properties"] = {k: r.holds for k, r in reports.items()}
     out["witnesses"] = {
         k: {
@@ -331,8 +340,7 @@ def json_report(doc: PosetDocument) -> dict:
         for k, r in reports.items()
         if not r.holds
     }
-    if doc.prime is not None and reports["orthogonal"].holds:
-        op = document_to_op(doc)
+    if op is not None and reports["orthogonal"].holds:
         rep = is_adjoint_pair(op)
         out["adjoint"] = {
             "a1": rep.a1,
@@ -360,30 +368,19 @@ def _load_for_cli(path: str) -> PosetDocument:
 
 def _cmd_check(args) -> int:
     doc = _load_for_cli(args.file)
-    op_only = {"orthogonal", "complemented", "antitone", "involution", "orthomodular"}
-    if args.props:
-        wanted = args.props.split(",")
-    elif doc.prime is None:
-        wanted = [p for p in PROPERTY_NAMES if p not in op_only]
-    else:
-        wanted = list(PROPERTY_NAMES)
+    p, _, reports = _profile(doc)
+    wanted = args.props.split(",") if args.props else list(reports)
     for prop in wanted:
         if prop not in PROPERTY_NAMES:
             raise PosetError(f"unknown property {prop!r} (choose from {', '.join(PROPERTY_NAMES)})")
-        if prop in op_only and doc.prime is None:
+        if prop not in reports:
             raise PosetError(f"property {prop!r} needs a prime section in the file")
     if args.json:
-        rep = json_report(doc)
-        print(json.dumps(rep, indent=2))
-        return 0 if all(rep["properties"][k] for k in wanted) else 1
-    p = document_to_poset(doc)
-    reports = op_reports(document_to_op(doc)) if doc.prime is not None else poset_reports(p)
-    ok = True
-    for prop in wanted:
-        rep = reports[prop]
-        print(rep.describe(p))
-        ok = ok and rep.holds
-    return 0 if ok else 1
+        print(json.dumps(json_report(doc), indent=2))
+    else:
+        for prop in wanted:
+            print(reports[prop].describe(p))
+    return 0 if all(reports[prop].holds for prop in wanted) else 1
 
 
 def _cmd_tables(args) -> int:
@@ -399,6 +396,9 @@ def _cmd_tables(args) -> int:
         )
         return 1
     chosen = {"odot": [odot_table], "arrow": [arrow_table], "both": [odot_table, arrow_table]}
+    if args.format == "json" and args.op == "both":
+        print(json.dumps([_table_payload(t) for t in chosen["both"]], indent=2))
+        return 0
     for table in chosen[args.op]:
         sys.stdout.write(render_table(table, args.format))
         if args.format == "text":

@@ -5,7 +5,8 @@ replayable witness (the lexicographically first violating tuple).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Optional
 
 from .poset_core import OpPoset, Poset, iter_mask, pair_table
@@ -166,8 +167,13 @@ def is_lattice(p: Poset) -> PropertyReport:
     return PropertyReport("lattice", True)
 
 
+@functools.lru_cache(maxsize=1)
 def poset_reports(p: Poset) -> dict[str, PropertyReport]:
-    """The property profile that needs no unary operation."""
+    """The property profile that needs no unary operation.
+
+    Keeps the last poset's profile in a one-entry cache: a search streams
+    every hit on one poset in a row. The dict is shared, so callers only read it.
+    """
     return {
         "saturated": is_saturated(p),
         "modular": is_modular(p),
@@ -176,15 +182,14 @@ def poset_reports(p: Poset) -> dict[str, PropertyReport]:
 
 
 def op_reports(op: OpPoset) -> dict[str, PropertyReport]:
-    """Full property profile in canonical order."""
+    """Full property profile in ``PROPERTY_NAMES`` order, the poset-level
+    part from ``poset_reports``."""
     reports = {
-        "saturated": is_saturated(op.poset),
+        **poset_reports(op.poset),
         "orthogonal": is_orthogonal(op),
         "complemented": is_complementation(op),
         "antitone": is_antitone(op),
         "involution": is_involution(op),
         "orthomodular": is_orthomodular(op),
-        "modular": is_modular(op.poset),
-        "lattice": is_lattice(op.poset),
     }
-    return reports
+    return {name: reports[name] for name in PROPERTY_NAMES}

@@ -30,15 +30,7 @@ from .adjoint import (
 )
 from .enumeration import all_maps, complementations, enumerate_posets, enumerate_relations, sweep
 from .poset_core import OpPoset, Poset, UndefinedOperationError, indices_of
-from .properties import (
-    is_complementation,
-    is_involution,
-    is_lattice,
-    is_modular,
-    is_orthogonal,
-    is_orthomodular,
-    is_saturated,
-)
+from .properties import is_complementation, is_orthogonal, is_orthomodular, op_reports
 from .sasaki import arrow, check_projection_laws, is_sasaki_total, odot, op_tables
 
 POSET_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
@@ -150,17 +142,18 @@ def _criterion_1(progress: Progress) -> tuple[bool, str]:
 def _criterion_2(progress: Progress) -> tuple[bool, str]:
     op = _fixture_op("ex1.poset")
     p = op.poset
+    reports = op_reports(op)
     checks = [
-        ("saturated", is_saturated(p).holds, True),
-        ("orthogonal", is_orthogonal(op).holds, True),
-        ("complemented", is_complementation(op).holds, True),
-        ("involution", is_involution(op).holds, False),
-        ("lattice", is_lattice(p).holds, False),
+        ("saturated", reports["saturated"].holds, True),
+        ("orthogonal", reports["orthogonal"].holds, True),
+        ("complemented", reports["complemented"].holds, True),
+        ("involution", reports["involution"].holds, False),
+        ("lattice", reports["lattice"].holds, False),
     ]
     for name, got, want in checks:
         if got != want:
             return False, f"{name}: expected {want}, got {got}"
-    inv = is_involution(op)
+    inv = reports["involution"]
     a = p.index("a")
     if inv.witness.elements != (a,) or op.prime[op.prime[a]] != p.index("c"):
         return False, "involution witness is not a'' = c"
@@ -175,17 +168,17 @@ def _criterion_2(progress: Progress) -> tuple[bool, str]:
 
 def _criterion_3(progress: Progress) -> tuple[bool, str]:
     op = _fixture_op("m3.poset")
-    p = op.poset
     rep = is_adjoint_pair(op)
+    reports = op_reports(op)
     checks = [
-        ("orthogonal", is_orthogonal(op).holds, True),
-        ("saturated", is_saturated(p).holds, True),
-        ("complemented", is_complementation(op).holds, True),
-        ("involution", is_involution(op).holds, False),
+        ("orthogonal", reports["orthogonal"].holds, True),
+        ("saturated", reports["saturated"].holds, True),
+        ("complemented", reports["complemented"].holds, True),
+        ("involution", reports["involution"].holds, False),
         ("condition iii", rep.conditions["iii"], True),
         ("condition vi", rep.conditions["vi"], True),
         ("adjoint", rep.adjoint, True),
-        ("modular", is_modular(p).holds, True),
+        ("modular", reports["modular"].holds, True),
         ("modular corollary", check_modular_corollary(op).holds, True),
     ]
     for name, got, want in checks:

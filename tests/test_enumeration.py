@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from orthoposet import enumeration, kernels, naive
+from orthoposet import enumeration, kernels, naive, properties
 from orthoposet.enumeration import (
+    SEARCH_FLAGS,
     SearchGoal,
     canonical_form,
     complement_candidates,
@@ -14,9 +15,17 @@ from orthoposet.enumeration import (
     instance_flag_map,
     search,
 )
-from orthoposet.adjoint import is_adjoint_pair
+from orthoposet.adjoint import CONDITION_KEYS, is_adjoint_pair
 from orthoposet.poset_core import OpPoset, Poset, PosetError, UndefinedOperationError
-from orthoposet.properties import is_lattice, is_modular, is_orthogonal, is_saturated, op_reports, poset_reports
+from orthoposet.properties import (
+    PROPERTY_NAMES,
+    is_lattice,
+    is_modular,
+    is_orthogonal,
+    is_saturated,
+    op_reports,
+    poset_reports,
+)
 
 POSET_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219}
 
@@ -408,7 +417,10 @@ def test_search_decides_once_per_frame(monkeypatch):
 
 
 def _fresh_flags(op):
-    flags = {name: r.holds for name, r in {**poset_reports(op.poset), **op_reports(op)}.items()}
+    # the poset-level flags from the deciders imported above, past the cache
+    p = op.poset
+    flags = {name: r.holds for name, r in op_reports(op).items()}
+    flags.update(saturated=is_saturated(p).holds, modular=is_modular(p).holds, lattice=is_lattice(p).holds)
     try:
         report = is_adjoint_pair(op)
     except UndefinedOperationError:
@@ -433,10 +445,18 @@ def test_replay_decides_poset_flags_once_per_run_of_hits(monkeypatch):
         calls.append(p)
         return is_modular(p)
 
-    monkeypatch.setattr(enumeration, "is_modular", counting_modular)
-    enumeration._poset_flag_map.cache_clear()
+    monkeypatch.setattr(properties, "is_modular", counting_modular)
+    properties.poset_reports.cache_clear()
     for op in hits:
         assert instance_flag_map(op) == _fresh_flags(op)
     # one run of consecutive hits per poset: A, then B, then A again
     assert [p.up for p in calls] == [a[0].poset.up, b[0].poset.up, a[0].poset.up]
     assert len(hits) > len(calls)
+
+
+def test_flag_vocabulary_agrees_across_layers(ex1):
+    assert list(op_reports(ex1)) == list(PROPERTY_NAMES)
+    assert set(instance_flag_map(ex1)) == set(SEARCH_FLAGS)
+    kernel_names = {name for name, _ in kernels.FLAG_NAMES}
+    assert kernel_names | set(poset_reports(ex1.poset)) | {"adjoint"} == set(SEARCH_FLAGS)
+    assert [k for k, _ in kernels.CONDITION_FLAGS] == list(CONDITION_KEYS)

@@ -109,6 +109,7 @@ def test_parse_error_carries_location():
         ("elements 0 1 10\ncovers 0<10 10<1\nprime 10:1 0:1 1:0 0:1", 20),
         ("elements 0 1 2\ncovers 0<1 1<2 2<0", 16),  # the cover that closes the cycle
         ("elements 0 1", 1),  # no least element: the elements section
+        ("elements 0 1\ncovers 0<1\nprime 0:1", 1),  # partial prime map: the prime section
     ],
 )
 def test_parse_error_column_is_the_token_column(line, col):
@@ -370,6 +371,8 @@ def test_cli_tables_golden(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("odot")
     assert main(["tables", path, "--format", "json", "--op", "both"]) == 0
+    tables = json.loads(capsys.readouterr().out)  # one document
+    assert [t["op"] for t in tables] == ["odot", "arrow"]
 
 
 def test_cli_tables_non_orthogonal(tmp_path, capsys):
@@ -439,6 +442,11 @@ def test_cli_search(capsys):
 def test_cli_search_bad_flag(capsys):
     assert main(["search", "--require", "glitter"]) == 2
     assert "unknown search flags" in capsys.readouterr().err
+
+
+def test_cli_search_empty_flag_is_named(capsys):
+    assert main(["search", "--require", ","]) == 2
+    assert capsys.readouterr().err == "error: unknown search flags: ''\n"
 
 
 @pytest.mark.parametrize("limit", ["0", "-2"])
