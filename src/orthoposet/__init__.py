@@ -7,9 +7,10 @@ analysis of the operation pair, and exhaustive model search at desk scale.
 
 from .adjoint import (
     CONDITION_KEYS,
+    EQUIVALENCE_GROUPS,
     AdjointReport,
     check_adjointness_consequences,
-    check_condition,
+    check_conditions,
     check_directions,
     check_modular_corollary,
     direction_sides,

@@ -5,9 +5,9 @@ The pair is adjoint when both directions hold for all x, y, z:
     (a1)  x (.) y lower-covers {z}   implies  {x} upper-covered by y (->) z
     (a2)  the converse implication
 
-Six two-variable conditions are each equivalent to one direction; their
-keys i..vi follow the report schema. All witnesses are lexicographically
-first and replayable.
+Six two-variable conditions are each equivalent to one direction, in the
+two groups of ``EQUIVALENCE_GROUPS``; their keys i..vi follow the report
+schema. All witnesses are lexicographically first and replayable.
 """
 from __future__ import annotations
 
@@ -27,6 +27,9 @@ from .properties import (
 from .sasaki import arrow, odot, op_tables
 
 CONDITION_KEYS = ("i", "ii", "iii", "iv", "v", "vi")
+# The paper's two groups of equivalent statements: each direction and the
+# three conditions that characterize it.
+EQUIVALENCE_GROUPS = (("a1", "i", "ii", "iii"), ("a2", "iv", "v", "vi"))
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,11 @@ class AdjointReport:
     @property
     def adjoint(self) -> bool:
         return self.a1 and self.a2
+
+    @property
+    def flags(self) -> dict[str, bool]:
+        """Every statement of ``EQUIVALENCE_GROUPS`` by name: a1, a2, i..vi."""
+        return {"a1": self.a1, "a2": self.a2, **self.conditions}
 
 
 def _tables(op: OpPoset):
@@ -86,79 +94,63 @@ def direction_sides(op: OpPoset, triple: tuple[int, int, int]) -> tuple[bool, bo
     return bool(odot(op, x, y) & p.down[z]), bool(arrow(op, y, z) & p.up[x])
 
 
-def check_condition(op: OpPoset, which: str, _cells=None) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """One of the six two-variable conditions, evaluated element-wise.
+def _image(row, mask: int) -> Optional[int]:
+    """Mask of ``row[t]`` over the members t of mask, or None if one is undefined."""
+    out = 0
+    for t in iter_mask(mask):
+        v = row[t]
+        if v is None:
+            return None
+        out |= 1 << v
+    return out
 
-    Set-valued sides use the same semantics as the operations themselves
-    (y' v S means the set of joins of y' with members of S); an undefined
-    bound inside a side counts as failure of the condition at that pair.
+
+def check_conditions(op: OpPoset, cells=None) -> dict[str, tuple[bool, Optional[tuple[int, int]]]]:
+    """The six two-variable conditions in one x-major walk over the pairs (x, y).
+
+    Returns ``{key: (holds, first violating (x, y) or None)}`` in
+    ``CONDITION_KEYS`` order; the walk stops once every condition has a
+    witness. Set-valued sides use the same semantics as the operations
+    themselves (y' v S means the set of joins of y' with members of S); an
+    undefined bound inside a side fails the condition at that pair.
     Min U(x, y') and Max L(x, y) come from ``Poset.min_upper``/``max_lower``.
     """
     p = op.poset
-    if which not in CONDITION_KEYS:
-        raise PosetError(f"unknown condition {which!r}")
-    ocells, acells = _cells if _cells is not None else _tables(op)
-    for x in range(p.n):
-        for y in range(p.n):
-            py = op.prime[y]
-            px = op.prime[x]
-            if which in ("i", "ii"):
-                mins = p.min_upper[x][py]
-                rhs = 0
-                ok = True
-                for t in iter_mask(ocells[x][y]):
-                    j = p.join(py, t)
-                    if j is None:
-                        ok = False
-                        break
-                    rhs |= 1 << j
-                if which == "i":
-                    if not ok or rhs != mins:
-                        return False, (x, y)
-                else:
-                    if not ok or not p.leq2(mins, rhs):
-                        return False, (x, y)
-            elif which == "iii":
-                if p.le(px, y):
-                    m = p.meet(y, x)
-                    j = None if m is None else p.join(px, m)
-                    if j != y:
-                        return False, (x, y)
-            elif which in ("iv", "v"):
-                maxs = p.max_lower[x][y]
-                rhs = 0
-                ok = True
-                for t in iter_mask(acells[x][y]):
-                    m = p.meet(x, t)
-                    if m is None:
-                        ok = False
-                        break
-                    rhs |= 1 << m
-                if which == "iv":
-                    if not ok or rhs != maxs:
-                        return False, (x, y)
-                else:
-                    if not ok or not p.leq1(rhs, maxs):
-                        return False, (x, y)
-            else:  # vi
-                if p.le(x, y):
-                    j = p.join(py, x)
-                    m = None if j is None else p.meet(j, y)
-                    if m != x:
-                        return False, (x, y)
-    return True, None
+    prime = op.prime
+    join, meet = p.join_table, p.meet_table
+    ocells, acells = cells if cells is not None else _tables(op)
+    found: dict[str, tuple[int, int]] = {}
+    for x, y in itertools.product(range(p.n), repeat=2):
+        px, py = prime[x], prime[y]
+        mins, maxs = p.min_upper[x][py], p.max_lower[x][y]
+        rhs1 = _image(join[py], ocells[x][y])  # y' v (x (.) y)
+        rhs2 = _image(meet[x], acells[x][y])  # x ^ (x (->) y)
+        m, j = meet[y][x], join[py][x]
+        failed = (
+            rhs1 != mins,
+            rhs1 is None or not p.leq2(mins, rhs1),
+            p.le(px, y) and (m is None or join[px][m] != y),
+            rhs2 != maxs,
+            rhs2 is None or not p.leq1(rhs2, maxs),
+            p.le(x, y) and (j is None or meet[j][y] != x),
+        )
+        for key, bad in zip(CONDITION_KEYS, failed):
+            if bad:
+                found.setdefault(key, (x, y))
+        if len(found) == len(CONDITION_KEYS):
+            break
+    return {key: (key not in found, found.get(key)) for key in CONDITION_KEYS}
 
 
 def is_adjoint_pair(op: OpPoset) -> AdjointReport:
     cells = _tables(op)
     (a1, w1), (a2, w2) = check_directions(op, cells)
-    conds = {}
-    cw = {}
-    for key in CONDITION_KEYS:
-        holds, wit = check_condition(op, key, cells)
-        conds[key] = holds
-        cw[key] = wit
-    return AdjointReport(a1, a2, w1, w2, conds, cw)
+    conds = check_conditions(op, cells)
+    return AdjointReport(
+        a1, a2, w1, w2,
+        {key: holds for key, (holds, _) in conds.items()},
+        {key: wit for key, (_, wit) in conds.items()},
+    )
 
 
 def check_adjointness_consequences(op: OpPoset) -> PropertyReport:
@@ -210,8 +202,9 @@ def check_modular_corollary(op: OpPoset) -> PropertyReport:
     )
     if not premise:
         return PropertyReport("modular_corollary", True)
+    conds = check_conditions(op)
     for key in ("iii", "vi"):
-        holds, wit = check_condition(op, key)
+        holds, wit = conds[key]
         if not holds:
             return PropertyReport(
                 "modular_corollary", False, Witness(wit, f"condition_{key}_fails")

@@ -23,13 +23,9 @@ from importlib import resources
 from typing import Optional
 
 from . import verify
-from .adjoint import (
-    CONDITION_KEYS,
-    find_o6_subalgebra,
-    is_adjoint_pair,
-)
+from .adjoint import CONDITION_KEYS, EQUIVALENCE_GROUPS, find_o6_subalgebra, is_adjoint_pair
 from .enumeration import SEARCH_FLAGS, SearchGoal, instance_flag_map, search
-from .poset_core import OpPoset, Poset, PosetError, UndefinedOperationError
+from .poset_core import OpPoset, Poset, PosetError, UndefinedOperationError, add_cover
 from .properties import PROPERTY_NAMES, PropertyReport, op_reports, poset_reports
 from .sasaki import OpTable, op_tables, sasaki_proj, sasaki_proj_dual
 
@@ -114,9 +110,7 @@ def parse_poset(text: str) -> PosetDocument:
                     raise ParseError(
                         lineno, tcol, f"cover {tok!r} closes a cycle, so the order is not antisymmetric"
                     )
-                for k, row in enumerate(up):
-                    if (row >> i) & 1:
-                        up[k] = row | up[j]
+                add_cover(up, i, j)
                 covers.append((a, b))
         else:
             prime_at = prime_at or (lineno, col)
@@ -445,9 +439,7 @@ def _cmd_thm1(args) -> int:
         if wit:
             line += "  [witness " + ", ".join(p.names[i] for i in wit) + "]"
         print(line)
-    group1 = {rep.a1, rep.conditions["i"], rep.conditions["ii"], rep.conditions["iii"]}
-    group2 = {rep.a2, rep.conditions["iv"], rep.conditions["v"], rep.conditions["vi"]}
-    consistent = len(group1) == 1 and len(group2) == 1
+    consistent = all(len({rep.flags[name] for name in group}) == 1 for group in EQUIVALENCE_GROUPS)
     print(f"equivalence groups consistent: {str(consistent).lower()}")
     return 0 if rep.adjoint and consistent else 1
 

@@ -70,29 +70,21 @@ def active_backend() -> str:
 
 @dataclass(frozen=True)
 class PackedPoset:
-    """Per-poset structure tables shared by every unary map on it.
+    """What the flag kernel adds to a poset, shared by every unary map on it.
 
-    ``join``/``meet`` (element indices, None where undefined) and the masks
-    ``min_upper``/``max_lower`` of Min U(x, y)/Max L(x, y) are the poset's
-    own cached tables; ``min_upper_idx[x][y]``/``max_lower_idx[x][y]`` hold
-    the ascending indices of those masks.
+    ``poset`` is the poset itself: its up/down rows, join/meet tables and
+    Min U/Max L masks are read from there. ``min_upper_idx[x][y]`` and
+    ``max_lower_idx[x][y]`` hold the ascending indices of the masks
+    ``poset.min_upper[x][y]`` and ``poset.max_lower[x][y]``.
     ``above[x]`` lists the indices of every y with x <= y.
     ``entries[e][v]`` memoizes the per-element flag bits of element e with
     image v (see ``instance_flags``); each slot stays None until first use.
     """
 
-    n: int
-    up: tuple[int, ...]
-    down: tuple[int, ...]
+    poset: Poset
     above: tuple[tuple[int, ...], ...]
-    join: tuple[tuple[Optional[int], ...], ...]
-    meet: tuple[tuple[Optional[int], ...], ...]
-    min_upper: tuple[tuple[int, ...], ...]
     min_upper_idx: tuple[tuple[tuple[int, ...], ...], ...]
-    max_lower: tuple[tuple[int, ...], ...]
     max_lower_idx: tuple[tuple[tuple[int, ...], ...], ...]
-    bottom: int
-    top: int
     entries: list[list[Optional[int]]] = field(compare=False, repr=False)
 
 
@@ -104,10 +96,9 @@ def _index_table(masks):
 
 def pack_poset(p: Poset) -> PackedPoset:
     return PackedPoset(
-        p.n, p.up, p.down, tuple(indices_of(row) for row in p.up),
-        p.join_table, p.meet_table,
-        p.min_upper, _index_table(p.min_upper), p.max_lower, _index_table(p.max_lower),
-        p.bottom, p.top, [[None] * p.n for _ in range(p.n)],
+        p, tuple(indices_of(row) for row in p.up),
+        _index_table(p.min_upper), _index_table(p.max_lower),
+        [[None] * p.n for _ in range(p.n)],
     )
 
 
@@ -130,7 +121,8 @@ def instance_flags(packed: PackedPoset, prime) -> int:
     on FLAG_ORTHOGONAL (equivalent by the totality proposition) before
     reading them.
     """
-    n = packed.n
+    p = packed.poset
+    n = p.n
     if len(prime) != n:
         raise PosetError("prime map length does not match the carrier")
     if min(prime) < 0 or max(prime) >= n:
@@ -140,7 +132,7 @@ def instance_flags(packed: PackedPoset, prime) -> int:
         if row[v] is None:
             row[v] = _entry(packed, e, v)
         flags &= row[v]
-    up = packed.up
+    up = p.up
     anti = all((up[prime[y]] >> prime[x]) & 1 for x in range(n) for y in packed.above[x])
     inv = all(prime[v] == x for x, v in enumerate(prime))
     if anti:
@@ -158,14 +150,16 @@ def _entry(packed: PackedPoset, e: int, v: int) -> int:
     An entry whose own cells are partial holds no a1/a2/condition bit, so
     the AND in ``instance_flags`` clears them on every partial instance.
     """
-    n = packed.n
+    p = packed.poset
+    n = p.n
     rng = range(n)
-    up, down, above = packed.up, packed.down, packed.above
-    join_v, meet_e = packed.join[v], packed.meet[e]
+    up, down, above = p.up, p.down, packed.above
+    join_v, meet_e = p.join_table[v], p.meet_table[e]
+    min_upper, max_lower_e = p.min_upper, p.max_lower[e]
     bits = 0
     if None not in [join_v[a] for a in iter_mask(down[e])] + [meet_e[b] for b in above[v]]:
         bits |= FLAG_ORTHOGONAL
-    if join_v[e] == packed.top and meet_e[v] == packed.bottom:
+    if join_v[e] == p.top and meet_e[v] == p.bottom:
         bits |= FLAG_COMPLEMENTED
 
     # odot[x] lists m ^ e over m in Min U(x, e'), arrow[y] lists e' v m over
@@ -199,7 +193,7 @@ def _entry(packed: PackedPoset, e: int, v: int) -> int:
             bits &= ~FLAG_A1
         if z_arrow & ~z_odot:
             bits &= ~FLAG_A2
-        if r1 != packed.min_upper[x][v]:
+        if r1 != min_upper[x][v]:
             bits &= ~FLAG_COND_I
         if r1 & ~(up[x] & up[v]):
             bits &= ~FLAG_COND_II
@@ -207,7 +201,7 @@ def _entry(packed: PackedPoset, e: int, v: int) -> int:
         r2 = 0
         for t in arrow[y]:
             r2 |= meet_bit[t]
-        if r2 != packed.max_lower[e][y]:
+        if r2 != max_lower_e[y]:
             bits &= ~FLAG_COND_IV
         if r2 & ~(down[e] & down[y]):
             bits &= ~FLAG_COND_V
@@ -220,8 +214,8 @@ def _entry(packed: PackedPoset, e: int, v: int) -> int:
 
 def _orthomodular(packed: PackedPoset, prime) -> bool:
     """x <= y implies y = x v (y' v x)', every join defined."""
-    join = packed.join
-    for x in range(packed.n):
+    join = packed.poset.join_table
+    for x in range(packed.poset.n):
         for y in packed.above[x]:
             j1 = join[prime[y]][x]
             if j1 is None or join[x][prime[j1]] != y:

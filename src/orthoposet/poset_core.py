@@ -53,6 +53,19 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(iter_mask(mask))
 
 
+def add_cover(up: list[int], i: int, j: int) -> None:
+    """Add i <= j to the up rows of a reflexive-transitive relation, in place.
+
+    Every row that contains i gains ``up[j]``, so the rows stay closed; a
+    self cover (i, i) changes nothing. A cover that closes a cycle leaves
+    rows the ``Poset`` constructor rejects as not antisymmetric.
+    """
+    above_j = up[j]
+    for k, row in enumerate(up):
+        if (row >> i) & 1:
+            up[k] = row | above_j
+
+
 class Poset:
     """Finite bounded poset.
 
@@ -140,22 +153,10 @@ class Poset:
         """Build from cover pairs (i, j) meaning i < j; computes the closure."""
         n = len(names)
         up = [1 << i for i in range(n)]
-        edges = [[] for _ in range(n)]
         for i, j in covers:
             if not (0 <= i < n and 0 <= j < n):
                 raise PosetError(f"cover ({i}, {j}) outside the carrier")
-            edges[i].append(j)
-        # reflexive-transitive closure by repeated row union
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                row = up[i]
-                for j in edges[i]:
-                    row |= up[j]
-                if row != up[i]:
-                    up[i] = row
-                    changed = True
+            add_cover(up, i, j)
         return cls(names, up)
 
     # -- element and subset plumbing --------------------------------------
@@ -275,19 +276,6 @@ class Poset:
                 if not between:
                     out.append((i, j))
         return out
-
-    def relabel(self, perm: Sequence[int]) -> "Poset":
-        """New poset with element i renamed to position perm[i]."""
-        n = self.n
-        names = [""] * n
-        rows = [0] * n
-        for i in range(n):
-            names[perm[i]] = self.names[i]
-            row = 0
-            for j in iter_mask(self.up[i]):
-                row |= 1 << perm[j]
-            rows[perm[i]] = row
-        return Poset(names, rows)
 
     def __eq__(self, other) -> bool:
         return (

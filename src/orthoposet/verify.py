@@ -22,6 +22,7 @@ from typing import Callable, Optional
 
 from . import kernels, naive
 from .adjoint import (
+    EQUIVALENCE_GROUPS,
     check_adjointness_consequences,
     check_modular_corollary,
     direction_sides,
@@ -236,21 +237,16 @@ def _criterion_5(progress: Progress) -> tuple[bool, str]:
 
 def _criterion_6(progress: Progress) -> tuple[bool, str]:
     instances = sweep_instances(5, progress)
-    group1 = (kernels.FLAG_A1, kernels.FLAG_COND_I, kernels.FLAG_COND_II, kernels.FLAG_COND_III)
-    group2 = (kernels.FLAG_A2, kernels.FLAG_COND_IV, kernels.FLAG_COND_V, kernels.FLAG_COND_VI)
+    flag = dict(kernels.FLAG_NAMES + kernels.CONDITION_FLAGS)
     for p, prime, bits in instances:
-        vals1 = {bool(bits & f) for f in group1}
-        vals2 = {bool(bits & f) for f in group2}
-        if len(vals1) != 1 or len(vals2) != 1:
+        if any(len({bool(bits & flag[name]) for name in group}) != 1 for group in EQUIVALENCE_GROUPS):
             return False, f"equivalence broken on n={p.n} prime={prime}"
     # replay a deterministic subsample against the slow, witness-producing path
     replayed = 0
     for p, prime, bits in instances[::53]:
         rep = is_adjoint_pair(OpPoset(p, prime))
-        want = {"a1": rep.a1, "a2": rep.a2, **rep.conditions}
-        for name, flag in kernels.FLAG_NAMES + kernels.CONDITION_FLAGS:
-            if name in want and bool(bits & flag) != want[name]:
-                return False, f"kernel/core disagreement on n={p.n} prime={prime}"
+        if any(bool(bits & flag[name]) != holds for name, holds in rep.flags.items()):
+            return False, f"kernel/core disagreement on n={p.n} prime={prime}"
         replayed += 1
     return True, f"{len(instances)} instances, equivalences hold; {replayed} replayed on the slow path"
 

@@ -53,6 +53,14 @@ def bounded_posets(draw):
     return Poset.from_covers(names, covers)
 
 
+def relabeled(p: Poset, perm) -> Poset:
+    """Copy of p with element i renamed to position perm[i], built from its covers."""
+    names = [""] * p.n
+    for i, k in enumerate(perm):
+        names[k] = p.names[i]
+    return Poset.from_covers(names, [(perm[i], perm[j]) for i, j in p.covers()])
+
+
 def two_chain(prime=(1, 0)) -> OpPoset:
     return OpPoset(Poset(("0", "1"), (0b11, 0b10)), prime)
 

@@ -1,20 +1,23 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
 from orthoposet.adjoint import (
     CONDITION_KEYS,
     check_adjointness_consequences,
-    check_condition,
+    check_conditions,
     check_directions,
     check_modular_corollary,
     direction_sides,
     find_o6_subalgebra,
     is_adjoint_pair,
 )
+from orthoposet import verify
 from orthoposet.enumeration import complement_candidates, enumerate_posets
 from orthoposet.poset_core import OpPoset, PosetError
+from orthoposet.properties import is_lattice, is_orthogonal
 from orthoposet.sasaki import arrow
 
 from conftest import two_chain
@@ -28,6 +31,13 @@ A2_VIOLATION = (False, True)
 WITNESS_ROWS = 9787
 WITNESS_SHA256 = "0a98703c83ec66d180539f200d6b7e6d19815d27084b70f4a436e55e773a44c3"
 
+# Taken while conditions i..vi were still decided in one walk each: the
+# sorted reprs of (up rows, prime, a1, a2, a1 witness, a2 witness,
+# conditions, condition witnesses, modular corollary holds) of
+# is_adjoint_pair over the corpus of test_adjoint_reports_pinned.
+REPORT_ROWS = 10006
+REPORT_SHA256 = "46e269b46ffc7613ab5656aa33b961b5770d044bfa98268bb2cbb66ff074b551"
+
 
 def test_ex1_splits_the_two_directions(ex1):
     rep = is_adjoint_pair(ex1)
@@ -40,11 +50,12 @@ def test_ex1_splits_the_two_directions(ex1):
     p = ex1.poset
     assert direction_sides(ex1, (p.index("1"), p.index("c"), p.index("a"))) == A2_VIOLATION
     assert rep.conditions == dict(i=True, ii=True, iii=True, iv=False, v=False, vi=False)
+    assert rep.flags == {"a1": True, "a2": False, **rep.conditions}
+    conds = check_conditions(ex1)
     for key in ("iv", "v", "vi"):
         wit = rep.condition_witnesses[key]
         assert wit is not None
-        holds, again = check_condition(ex1, key)
-        assert not holds and again == wit
+        assert conds[key] == (False, wit)
 
 
 def test_adjoint_fixtures(m3, fig3, cube8):
@@ -103,9 +114,35 @@ def test_direction_witnesses_replay_and_are_first():
                 assert all(direction_sides(op, t) != violation for t in earlier)
 
 
-def test_condition_key_validation(m3):
-    with pytest.raises(PosetError, match="condition"):
-        check_condition(m3, "vii")
+def test_adjoint_reports_pinned(fixture_ops):
+    # Every orthogonal complementation with n <= 5, every unary map with
+    # n <= 4, the fixtures, and the orthogonal maps among 20 seeded random
+    # maps on each non-lattice bounded poset with n = 6. Every bounded poset
+    # with n <= 5 is a lattice, so ex1 and the n = 6 maps are the ones on
+    # non-lattices (where the conditions never meet an undefined bound
+    # either, as the maps are orthogonal).
+    ops = [OpPoset(p, prime) for p, prime, _ in verify.sweep_instances(5) + verify.all_map_instances(4)]
+    ops += fixture_ops.values()
+    rng = random.Random(6)
+    for p in enumerate_posets(6):
+        if is_lattice(p).holds:
+            continue
+        for _ in range(20):
+            op = OpPoset(p, tuple(rng.randrange(6) for _ in range(6)))
+            if is_orthogonal(op).holds:
+                ops.append(op)
+    rows = []
+    for op in ops:
+        rep = is_adjoint_pair(op)
+        rows.append(repr((
+            op.poset.up, op.prime, rep.a1, rep.a2, rep.a1_witness, rep.a2_witness,
+            rep.conditions, rep.condition_witnesses, check_modular_corollary(op).holds,
+        )))
+    assert len(rows) == REPORT_ROWS
+    h = hashlib.sha256()
+    for row in sorted(rows):
+        h.update(row.encode())
+    assert h.hexdigest() == REPORT_SHA256
 
 
 def test_consequences_on_fixtures(fixture_ops):

@@ -15,7 +15,7 @@ from orthoposet.enumeration import (
     instance_flag_map,
     search,
 )
-from orthoposet.adjoint import CONDITION_KEYS, is_adjoint_pair
+from orthoposet.adjoint import CONDITION_KEYS, EQUIVALENCE_GROUPS, is_adjoint_pair
 from orthoposet.poset_core import OpPoset, Poset, PosetError, UndefinedOperationError
 from orthoposet.properties import (
     PROPERTY_NAMES,
@@ -26,6 +26,8 @@ from orthoposet.properties import (
     op_reports,
     poset_reports,
 )
+
+from conftest import relabeled
 
 POSET_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219}
 
@@ -175,7 +177,7 @@ def test_canonical_form_invariant_under_all_relabelings(ex1):
     p = ex1.poset
     base = canonical_form(p)
     for perm in itertools.permutations(range(p.n)):
-        assert canonical_form(p.relabel(perm)) == base
+        assert canonical_form(relabeled(p, perm)) == base
 
 
 def test_canonical_partition_matches_permutation_oracle():
@@ -460,3 +462,7 @@ def test_flag_vocabulary_agrees_across_layers(ex1):
     kernel_names = {name for name, _ in kernels.FLAG_NAMES}
     assert kernel_names | set(poset_reports(ex1.poset)) | {"adjoint"} == set(SEARCH_FLAGS)
     assert [k for k, _ in kernels.CONDITION_FLAGS] == list(CONDITION_KEYS)
+    # every statement of the two equivalence groups is a report flag and a kernel bit
+    grouped = [name for group in EQUIVALENCE_GROUPS for name in group]
+    assert sorted(grouped) == sorted(is_adjoint_pair(ex1).flags)
+    assert set(grouped) <= {name for name, _ in kernels.FLAG_NAMES + kernels.CONDITION_FLAGS}

@@ -13,7 +13,7 @@ from orthoposet.poset_core import (
     mask_of,
 )
 
-from conftest import bounded_posets, two_chain
+from conftest import bounded_posets, relabeled, two_chain
 
 
 # -- construction and validation -------------------------------------------
@@ -168,8 +168,13 @@ def test_min_upper_max_lower_match_minimal_maximal(fixture_ops, butterfly, penta
         p = op.poset
         for x in range(p.n):
             for y in range(p.n):
-                assert p.min_upper[x][y] == p.minimal(p.up[x] & p.up[y])
-                assert p.max_lower[x][y] == p.maximal(p.down[x] & p.down[y])
+                mins = p.minimal(p.up[x] & p.up[y])
+                maxs = p.maximal(p.down[x] & p.down[y])
+                assert p.min_upper[x][y] == mins
+                assert p.max_lower[x][y] == maxs
+                # the join (meet) is the one minimal upper (maximal lower) bound
+                assert p.join(x, y) == (mins.bit_length() - 1 if mins & (mins - 1) == 0 else None)
+                assert p.meet(x, y) == (maxs.bit_length() - 1 if maxs & (maxs - 1) == 0 else None)
 
 
 def test_interval(ex1):
@@ -186,7 +191,7 @@ def test_interval(ex1):
 def test_covers_and_relabel(ex1):
     p = ex1.poset
     assert len(p.covers()) == 10
-    q = p.relabel(tuple(reversed(range(p.n))))
+    q = relabeled(p, tuple(reversed(range(p.n))))
     assert q.names[0] == p.names[-1]
     assert len(q.covers()) == 10
     assert q.le(q.index("a"), q.index("c"))
