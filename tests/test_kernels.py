@@ -145,6 +145,24 @@ def test_entries_filled_lazily_and_in_any_order(ex1):
             assert got[::-1] == want, p.up
 
 
+def test_entry_total_iff_orthogonal():
+    # "well-defined iff orthogonal", one (element, image) entry at a time:
+    # which is why _entry reads no undefined bound past its totality gate.
+    # The frames are the first relabeling of each middle relation, one per
+    # relation code, so they cover every bounded poset up to isomorphism.
+    entries = split = 0
+    for n in range(1, 7):
+        frames = len(kernels.relation_codes(n - 2)) if n > 2 else 1
+        for p in itertools.islice(enumerate_posets(n), frames):
+            packed = kernels.pack_poset(p)
+            for e, v in itertools.product(range(n), repeat=2):
+                bits = kernels._entry(packed, e, v)
+                entries += 1
+                split += bool(bits & kernels.FLAG_TOTAL) != bool(bits & kernels.FLAG_ORTHOGONAL)
+    assert entries == 8421
+    assert split == 0
+
+
 def test_pack_poset_at_the_carrier_cap():
     names = tuple(f"e{i}" for i in range(CARRIER_CAP))
     chain = Poset.from_covers(names, [(i, i + 1) for i in range(CARRIER_CAP - 1)])
