@@ -26,10 +26,10 @@ from .properties import (
 )
 from .sasaki import arrow, odot, op_tables
 
-CONDITION_KEYS = ("i", "ii", "iii", "iv", "v", "vi")
 # The paper's two groups of equivalent statements: each direction and the
 # three conditions that characterize it.
 EQUIVALENCE_GROUPS = (("a1", "i", "ii", "iii"), ("a2", "iv", "v", "vi"))
+CONDITION_KEYS = tuple(key for group in EQUIVALENCE_GROUPS for key in group[1:])
 
 
 @dataclass(frozen=True)

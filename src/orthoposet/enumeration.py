@@ -143,8 +143,12 @@ def instance_flag_map(op: OpPoset) -> dict[str, bool]:
     return flags
 
 
+# The kernel bits that are search flags: every bit but the six conditions.
+_KERNEL_SEARCH_FLAGS = [(name, bit) for name, bit in kernels.FLAGS.items() if name in SEARCH_FLAGS]
+
+
 def _kernel_flag_map(poset_flags: dict[str, bool], bits: int) -> dict[str, bool]:
-    flags = {**poset_flags, **{name: bool(bits & flag) for name, flag in kernels.FLAG_NAMES}}
+    flags = {**poset_flags, **{name: bool(bits & flag) for name, flag in _KERNEL_SEARCH_FLAGS}}
     flags["adjoint"] = flags["a1"] and flags["a2"]
     return flags
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -179,8 +180,9 @@ def load_poset_path(path: str) -> PosetDocument:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
+        data = exc.object  # past a leading BOM, as exc.start counts
         start = data.rfind(b"\n", 0, exc.start) + 1
         line = data.count(b"\n", 0, start) + 1
         col = len(data[start:exc.start].decode("utf-8")) + 1
@@ -590,10 +592,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed reader shows up here, not at exit
+        return status
     except PosetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # whatever is still buffered goes to devnull, so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,46 +17,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .adjoint import CONDITION_KEYS, EQUIVALENCE_GROUPS
 from .poset_core import Poset, PosetError, indices_of, iter_mask
 
-FLAG_ORTHOGONAL = 1 << 0
-FLAG_TOTAL = 1 << 1
-FLAG_COMPLEMENTED = 1 << 2
-FLAG_ANTITONE = 1 << 3
-FLAG_INVOLUTION = 1 << 4
-FLAG_ORTHOMODULAR = 1 << 5
-FLAG_A1 = 1 << 6
-FLAG_A2 = 1 << 7
-FLAG_COND_I = 1 << 8
-FLAG_COND_II = 1 << 9
-FLAG_COND_III = 1 << 10
-FLAG_COND_IV = 1 << 11
-FLAG_COND_V = 1 << 12
-FLAG_COND_VI = 1 << 13
-
-# Search-flag name of each instance flag bit.
-FLAG_NAMES = (
-    ("orthogonal", FLAG_ORTHOGONAL),
-    ("total", FLAG_TOTAL),
-    ("complemented", FLAG_COMPLEMENTED),
-    ("antitone", FLAG_ANTITONE),
-    ("involution", FLAG_INVOLUTION),
-    ("orthomodular", FLAG_ORTHOMODULAR),
-    ("a1", FLAG_A1),
-    ("a2", FLAG_A2),
-)
-
-CONDITION_FLAGS = (
-    ("i", FLAG_COND_I),
-    ("ii", FLAG_COND_II),
-    ("iii", FLAG_COND_III),
-    ("iv", FLAG_COND_IV),
-    ("v", FLAG_COND_V),
-    ("vi", FLAG_COND_VI),
-)
+# The one name <-> bit table of the instance flags: bit i is the i-th name.
+# The sweep digests pin these bits, so the order never changes.
+FLAGS = {
+    name: 1 << bit
+    for bit, name in enumerate(
+        ("orthogonal", "total", "complemented", "antitone", "involution", "orthomodular")
+        + ("a1", "a2") + CONDITION_KEYS
+    )
+}
+FLAG_ORTHOGONAL = FLAGS["orthogonal"]
 
 # Bits that hold only when the instance's operations are total.
-_GATED_FLAGS = FLAG_A1 | FLAG_A2 | sum(flag for _, flag in CONDITION_FLAGS)
+_GATED_FLAGS = sum(FLAGS[name] for group in EQUIVALENCE_GROUPS for name in group)
 
 MAX_RELATION_N = 6
 
@@ -117,8 +93,8 @@ def instance_flags(packed: PackedPoset, prime) -> int:
       and v the cells e (->) y, and a1 and a2 both.
 
     The other three bits relate several images and are computed per map.
-    The a1/a2/condition bits are only set when FLAG_TOTAL is; callers gate
-    on FLAG_ORTHOGONAL (equivalent by the totality proposition) before
+    The a1/a2/condition bits are only set with the total bit; callers gate
+    on the orthogonal bit (equivalent by the totality proposition) before
     reading them.
     """
     p = packed.poset
@@ -136,11 +112,11 @@ def instance_flags(packed: PackedPoset, prime) -> int:
     anti = all((up[prime[y]] >> prime[x]) & 1 for x in range(n) for y in packed.above[x])
     inv = all(prime[v] == x for x, v in enumerate(prime))
     if anti:
-        flags |= FLAG_ANTITONE
+        flags |= FLAGS["antitone"]
     if inv:
-        flags |= FLAG_INVOLUTION
-    if flags & FLAG_COMPLEMENTED and anti and inv and _orthomodular(packed, prime):
-        flags |= FLAG_ORTHOMODULAR
+        flags |= FLAGS["involution"]
+    if anti and inv and flags & FLAGS["complemented"] and _orthomodular(packed, prime):
+        flags |= FLAGS["orthomodular"]
     return flags
 
 
@@ -164,7 +140,7 @@ def _entry(packed: PackedPoset, e: int, v: int) -> int:
     if None not in [join_v[a] for a in iter_mask(down[e])] + [meet_e[b] for b in above[v]]:
         bits |= FLAG_ORTHOGONAL
     if join_v[e] == p.top and meet_e[v] == p.bottom:
-        bits |= FLAG_COMPLEMENTED
+        bits |= FLAGS["complemented"]
 
     # odot[x] lists m ^ e over m in Min U(x, e'), arrow[y] lists e' v m over
     # m in Max L(e, y); repeats are harmless below
@@ -172,7 +148,7 @@ def _entry(packed: PackedPoset, e: int, v: int) -> int:
     arrow = [[join_v[m] for m in packed.max_lower_idx[e][y]] for y in rng]
     if any(None in cell for cell in odot) or any(None in cell for cell in arrow):
         return bits
-    bits |= FLAG_TOTAL | _GATED_FLAGS
+    bits |= FLAGS["total"] | _GATED_FLAGS
 
     # a1: z above a member of x (.) e implies x below a member of e (->) z;
     # a2 the converse. Per x, compare the two sets of such z.
@@ -191,25 +167,25 @@ def _entry(packed: PackedPoset, e: int, v: int) -> int:
         for t in above[x]:
             z_arrow |= hit[t]
         if z_odot & ~z_arrow:
-            bits &= ~FLAG_A1
+            bits &= ~FLAGS["a1"]
         if z_arrow & ~z_odot:
-            bits &= ~FLAG_A2
+            bits &= ~FLAGS["a2"]
         if r1 != min_upper[x][v]:
-            bits &= ~FLAG_COND_I
+            bits &= ~FLAGS["i"]
         if r1 & ~(up[x] & up[v]):
-            bits &= ~FLAG_COND_II
+            bits &= ~FLAGS["ii"]
     for y in rng:
         r2 = 0
         for t in arrow[y]:
             r2 |= 1 << meet_e[t]
         if r2 != max_lower_e[y]:
-            bits &= ~FLAG_COND_IV
+            bits &= ~FLAGS["iv"]
         if r2 & ~(down[e] & down[y]):
-            bits &= ~FLAG_COND_V
+            bits &= ~FLAGS["v"]
     if any(join_v[meet_e[y]] != y for y in above[v]):
-        bits &= ~FLAG_COND_III
+        bits &= ~FLAGS["iii"]
     if any(meet_e[join_v[x]] != x for x in iter_mask(down[e])):
-        bits &= ~FLAG_COND_VI
+        bits &= ~FLAGS["vi"]
     return bits
 
 

@@ -237,7 +237,7 @@ def _criterion_5(progress: Progress) -> tuple[bool, str]:
 
 def _criterion_6(progress: Progress) -> tuple[bool, str]:
     instances = sweep_instances(5, progress)
-    flag = dict(kernels.FLAG_NAMES + kernels.CONDITION_FLAGS)
+    flag = kernels.FLAGS
     for p, prime, bits in instances:
         if any(len({bool(bits & flag[name]) for name in group}) != 1 for group in EQUIVALENCE_GROUPS):
             return False, f"equivalence broken on n={p.n} prime={prime}"
@@ -255,9 +255,9 @@ def _criterion_7(progress: Progress) -> tuple[bool, str]:
     instances = sweep_instances(5, progress)
     omod = 0
     for p, prime, bits in instances:
-        if bits & kernels.FLAG_ORTHOMODULAR:
+        if bits & kernels.FLAGS["orthomodular"]:
             omod += 1
-            if not (bits & kernels.FLAG_A1 and bits & kernels.FLAG_A2):
+            if not (bits & kernels.FLAGS["a1"] and bits & kernels.FLAGS["a2"]):
                 return False, f"orthomodular but not adjoint: n={p.n} prime={prime}"
     for name in ("fig3.poset", "cube8.poset"):
         op = _fixture_op(name)
@@ -271,7 +271,7 @@ def _criterion_7(progress: Progress) -> tuple[bool, str]:
 def _criterion_8(progress: Progress) -> tuple[bool, str]:
     complemented = sweep_instances(5, progress)
     arbitrary = [inst for inst in all_map_instances(4) if inst[2] & kernels.FLAG_ORTHOGONAL]
-    directions = kernels.FLAG_A1 | kernels.FLAG_A2
+    directions = kernels.FLAGS["a1"] | kernels.FLAGS["a2"]
     for p, prime, bits in complemented + arbitrary:
         # a map with neither direction has no consequence to check
         if bits & directions and not check_adjointness_consequences(OpPoset(p, prime)).holds:
@@ -289,7 +289,7 @@ def _criterion_9(progress: Progress) -> tuple[bool, str]:
         if not rep.holds:
             return False, f"projection law fails on n={p.n} prime={prime}: {rep.witness.condition}"
         checked += 1
-        if bits & kernels.FLAG_ORTHOMODULAR:
+        if bits & kernels.FLAGS["orthomodular"]:
             omod += 1
     return True, f"{checked} orthogonal instances ({omod} orthomodular) pass"
 
@@ -297,7 +297,7 @@ def _criterion_9(progress: Progress) -> tuple[bool, str]:
 def _criterion_10(progress: Progress) -> tuple[bool, str]:
     instances = all_map_instances(4)
     for p, prime, bits in instances:
-        if bool(bits & kernels.FLAG_TOTAL) != bool(bits & kernels.FLAG_ORTHOGONAL):
+        if bool(bits & kernels.FLAGS["total"]) != bool(bits & kernels.FLAG_ORTHOGONAL):
             return False, f"totality/orthogonality split on n={p.n} prime={prime}"
     replayed = 0
     for p, prime, _ in instances[::97]:

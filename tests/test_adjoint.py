@@ -154,7 +154,7 @@ def test_consequences_of_one_direction_hold_on_every_small_map():
     one_way = [
         OpPoset(p, prime)
         for p, prime, bits in verify.all_map_instances(4)
-        if bool(bits & kernels.FLAG_A1) != bool(bits & kernels.FLAG_A2)
+        if bool(bits & kernels.FLAGS["a1"]) != bool(bits & kernels.FLAGS["a2"])
     ]
     assert len(one_way) == 592
     for op in one_way:

@@ -459,10 +459,8 @@ def test_replay_decides_poset_flags_once_per_run_of_hits(monkeypatch):
 def test_flag_vocabulary_agrees_across_layers(ex1):
     assert list(op_reports(ex1)) == list(PROPERTY_NAMES)
     assert set(instance_flag_map(ex1)) == set(SEARCH_FLAGS)
-    kernel_names = {name for name, _ in kernels.FLAG_NAMES}
+    kernel_names = set(kernels.FLAGS) - set(CONDITION_KEYS)
     assert kernel_names | set(poset_reports(ex1.poset)) | {"adjoint"} == set(SEARCH_FLAGS)
-    assert [k for k, _ in kernels.CONDITION_FLAGS] == list(CONDITION_KEYS)
-    # every statement of the two equivalence groups is a report flag and a kernel bit
+    # every statement of the two equivalence groups is a report flag
     grouped = [name for group in EQUIVALENCE_GROUPS for name in group]
     assert sorted(grouped) == sorted(is_adjoint_pair(ex1).flags)
-    assert set(grouped) <= {name for name, _ in kernels.FLAG_NAMES + kernels.CONDITION_FLAGS}

@@ -20,6 +20,7 @@ from orthoposet.io_cli import (
     fixture_text,
     json_report,
     load_fixture,
+    load_poset_path,
     main,
     parse_poset,
     poset_to_document,
@@ -543,15 +544,43 @@ def test_cli_non_utf8_file(tmp_path, capsys):
     assert "line 2, column 12: file is not valid UTF-8" in capsys.readouterr().err
 
 
-def _run_module(*args):
+def test_cli_file_with_bom(tmp_path, capsys):
+    # a leading UTF-8 BOM is skipped and takes no column of its own
+    bom = b"\xef\xbb\xbf"
+    good = tmp_path / "bom.poset"
+    good.write_bytes(bom + fixture_text("ex1.poset").encode("utf-8"))
+    assert load_poset_path(str(good)) == load_fixture("ex1.poset")
+    bad = tmp_path / "bad.poset"
+    for data, where in (
+        (b"poset \xff\n", "line 1, column 7"),
+        ("poset t\nelements é ".encode("utf-8") + b"\xff\n", "line 2, column 12"),
+    ):
+        bad.write_bytes(bom + data)
+        assert main(["check", str(bad)]) == 2
+        assert f"{where}: file is not valid UTF-8" in capsys.readouterr().err
+
+
+def _module_argv_env(*args):
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "orthoposet", *args],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-    )
+    return [sys.executable, "-m", "orthoposet", *args], {**os.environ, "PYTHONPATH": path}
+
+
+def _run_module(*args):
+    argv, env = _module_argv_env(*args)
+    return subprocess.run(argv, env=env, capture_output=True, text=True)
+
+
+def test_closed_stdout_gives_no_traceback():
+    # 500 hits are about 130 kB, more than a pipe holds, so the search is
+    # still writing when the reader goes away after the first line
+    argv, env = _module_argv_env("search", "--max-n", "4", "--limit", "500")
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"poset hit1\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b"", err.decode()  # no traceback, and no "Exception ignored" either
 
 
 def test_module_entry_point_runs_the_cli():

@@ -9,11 +9,9 @@ from pathlib import Path
 import pytest
 
 from orthoposet import kernels
-from orthoposet.adjoint import is_adjoint_pair
+from orthoposet.adjoint import EQUIVALENCE_GROUPS, is_adjoint_pair
 from orthoposet.enumeration import all_maps, enumerate_posets, instance_flag_map, sweep
 from orthoposet.poset_core import CARRIER_CAP, OpPoset, Poset, PosetError, indices_of
-
-CORE_FLAGS = kernels.FLAG_NAMES
 
 # Digests taken from the numpy evaluator this module replaced: the relation
 # codes of every labeled poset on n elements, in order ...
@@ -62,21 +60,16 @@ def test_flags_match_core_deciders():
                 maps = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(12)]
             for prime in maps:
                 bits = kernels.instance_flags(packed, prime)
-                op = OpPoset(p, prime)
-                core = instance_flag_map(op)
-                for name, flag in CORE_FLAGS:
-                    assert bool(bits & flag) == core[name], (n, prime, name)
-                if core["orthogonal"]:
-                    rep = is_adjoint_pair(op)
-                    for key, flag in kernels.CONDITION_FLAGS:
-                        assert bool(bits & flag) == rep.conditions[key], (n, prime, key)
+                want = _core_bits(OpPoset(p, prime))
+                for name, flag in kernels.FLAGS.items():
+                    assert bool(bits & flag) == want.get(name, False), (n, prime, name)
 
 
 def test_flags_on_fixtures_match_core(fixture_ops, butterfly):
     for name, op in {**fixture_ops, "butterfly": butterfly}.items():
         bits = kernels.instance_flags(kernels.pack_poset(op.poset), op.prime)
         want = _core_bits(op)
-        for key, flag in CORE_FLAGS + kernels.CONDITION_FLAGS:
+        for key, flag in kernels.FLAGS.items():
             assert bool(bits & flag) == want.get(key, False), (name, key)
 
 
@@ -158,7 +151,7 @@ def test_entry_total_iff_orthogonal():
             for e, v in itertools.product(range(n), repeat=2):
                 bits = kernels._entry(packed, e, v)
                 entries += 1
-                split += bool(bits & kernels.FLAG_TOTAL) != bool(bits & kernels.FLAG_ORTHOGONAL)
+                split += bool(bits & kernels.FLAGS["total"]) != bool(bits & kernels.FLAG_ORTHOGONAL)
     assert entries == 8421
     assert split == 0
 
@@ -171,7 +164,7 @@ def test_pack_poset_at_the_carrier_cap():
     prime = tuple(reversed(range(CARRIER_CAP)))
     bits = kernels.instance_flags(packed, prime)
     want = {"orthogonal", "total", "antitone", "involution"}
-    for name, flag in CORE_FLAGS:
+    for name, flag in kernels.FLAGS.items():
         assert bool(bits & flag) == (name in want), name
 
 
@@ -179,11 +172,11 @@ def test_flags_gate_on_totality(butterfly):
     packed = kernels.pack_poset(butterfly.poset)
     bits = kernels.instance_flags(packed, butterfly.prime)
     assert not bits & kernels.FLAG_ORTHOGONAL
-    assert not bits & kernels.FLAG_TOTAL
+    assert not bits & kernels.FLAGS["total"]
     # direction and condition bits stay unset when the operations are partial
-    for _, flag in kernels.CONDITION_FLAGS:
-        assert not bits & flag
-    assert not bits & kernels.FLAG_A1 and not bits & kernels.FLAG_A2
+    for group in EQUIVALENCE_GROUPS:
+        for name in group:
+            assert not bits & kernels.FLAGS[name], name
 
 
 def test_import_loads_neither_numpy_nor_numba():

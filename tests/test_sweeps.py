@@ -6,14 +6,11 @@ import random
 import pytest
 
 from orthoposet import kernels
-from orthoposet.adjoint import check_directions, find_o6_subalgebra, is_adjoint_pair
+from orthoposet.adjoint import EQUIVALENCE_GROUPS, check_directions, find_o6_subalgebra, is_adjoint_pair
 from orthoposet.enumeration import SearchGoal, complementations, enumerate_posets, search, sweep
 from orthoposet.poset_core import OpPoset, Poset
 from orthoposet.properties import is_lattice, is_orthogonal
 from orthoposet.sasaki import is_sasaki_total
-
-GROUP1 = (kernels.FLAG_A1, kernels.FLAG_COND_I, kernels.FLAG_COND_II, kernels.FLAG_COND_III)
-GROUP2 = (kernels.FLAG_A2, kernels.FLAG_COND_IV, kernels.FLAG_COND_V, kernels.FLAG_COND_VI)
 
 # Every complementation map on every bounded poset with n = 6: the count and
 # the digest over the sorted (up rows, prime, flag bits) rows, the same pin
@@ -51,8 +48,8 @@ def test_direction_condition_equivalences_at_n6(sweep6):
     for _, p, prime, bits in sweep6:
         if not bits & kernels.FLAG_ORTHOGONAL:
             continue
-        assert len({bool(bits & f) for f in GROUP1}) == 1, (p, prime)
-        assert len({bool(bits & f) for f in GROUP2}) == 1, (p, prime)
+        for group in EQUIVALENCE_GROUPS:
+            assert len({bool(bits & kernels.FLAGS[name]) for name in group}) == 1, (p, prime, group)
         count += 1
     assert count == SWEEP6_MAPS
 
@@ -60,8 +57,8 @@ def test_direction_condition_equivalences_at_n6(sweep6):
 def test_orthomodular_implies_adjoint_at_n6(sweep6):
     seen = 0
     for _, p, prime, bits in sweep6:
-        if bits & kernels.FLAG_ORTHOMODULAR:
-            assert bits & kernels.FLAG_A1 and bits & kernels.FLAG_A2, (p, prime)
+        if bits & kernels.FLAGS["orthomodular"]:
+            assert bits & kernels.FLAGS["a1"] and bits & kernels.FLAGS["a2"], (p, prime)
             seen += 1
     assert seen > 0
 
@@ -85,15 +82,15 @@ def test_totality_and_directions_on_every_non_lattice_at_n6():
             op = OpPoset(p, prime)
             bits = kernels.instance_flags(packed, op.prime)
             rows.append((p.up, op.prime, bits))
-            is_total = bool(bits & kernels.FLAG_TOTAL)
+            is_total = bool(bits & kernels.FLAGS["total"])
             assert is_total == is_sasaki_total(op) == is_orthogonal(op).holds, (p, prime)
             if not is_total:
                 partial += 1
                 continue
             total += 1
             (a1, _), (a2, _) = check_directions(op)
-            assert bool(bits & kernels.FLAG_A1) == a1, (p, prime)
-            assert bool(bits & kernels.FLAG_A2) == a2, (p, prime)
+            assert bool(bits & kernels.FLAGS["a1"]) == a1, (p, prime)
+            assert bool(bits & kernels.FLAGS["a2"]) == a2, (p, prime)
     assert non_lattices == 180
     assert (total, partial) == (41, 679)
     assert _digest(rows) == NON_LATTICE_MAPS_SHA256
@@ -104,7 +101,7 @@ def test_o6_subalgebra_obstructs_adjointness(sweep6):
     # adjointness
     seen_o6 = 0
     for idx, p, prime, bits in sweep6:
-        if idx % 3 or not is_lattice(p).holds or not bits & kernels.FLAG_COMPLEMENTED:
+        if idx % 3 or not is_lattice(p).holds or not bits & kernels.FLAGS["complemented"]:
             continue
         op = OpPoset(p, prime)
         if find_o6_subalgebra(op) is not None:
