@@ -80,17 +80,13 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
 
 
 def complement_candidates(p: Poset) -> list[list[int]]:
-    """Per element, the ascending list of its complements."""
-    out = []
-    for x in range(p.n):
-        out.append(
-            [
-                y
-                for y in range(p.n)
-                if p.join(x, y) == p.top and p.meet(x, y) == p.bottom
-            ]
-        )
-    return out
+    """Per element, the ascending list of its complements, from the order masks."""
+    top, bottom = 1 << p.top, 1 << p.bottom
+    rng = range(p.n)
+    return [
+        [y for y in rng if up & p.up[y] == top and down & p.down[y] == bottom]
+        for up, down in zip(p.up, p.down)
+    ]
 
 
 @dataclass(frozen=True)

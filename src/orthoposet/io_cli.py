@@ -15,6 +15,8 @@ poset. ``prime``, when present, must be total.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import re
@@ -226,11 +228,14 @@ def render_table(table: OpTable, fmt: str = "text") -> str:
             for row in rows
         ) + "\n"
     if fmt == "csv":
-        lines = [",".join([table.kind] + list(p.names))]
+        # a set cell joins its members with a space, which no label contains
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow([table.kind] + list(p.names))
         for x in range(p.n):
-            cells = ["|".join(p.names_of(table.cells[x][y])) for y in range(p.n)]
-            lines.append(",".join([p.names[x]] + cells))
-        return "\n".join(lines) + "\n"
+            cells = [" ".join(p.names_of(table.cells[x][y])) for y in range(p.n)]
+            writer.writerow([p.names[x]] + cells)
+        return out.getvalue()
     if fmt == "json":
         return json.dumps(_table_payload(table), indent=2) + "\n"
     raise PosetError(f"unknown table format {fmt!r}")

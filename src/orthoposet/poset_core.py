@@ -4,6 +4,10 @@ Elements are dense indices 0..n-1; labels exist only at the I/O boundary.
 A subset of the carrier is a plain int used as a bitmask, so every bound
 operator is a couple of word operations. The carrier is capped so one
 machine word always suffices.
+
+Complements need no join or meet table: x v y is the top exactly when
+U(x, y) = ``up[x] & up[y]`` is ``1 << top``, and x ^ y is the bottom exactly
+when L(x, y) = ``down[x] & down[y]`` is ``1 << bottom``.
 """
 from __future__ import annotations
 

@@ -97,46 +97,21 @@ def _bounded_pool(max_n: int = 5) -> dict[int, list[Poset]]:
 # ---------------------------------------------------------------------------
 
 
-def _parse_golden(text: str):
-    rows = [line.split() for line in text.strip().splitlines()]
-    header = rows[0][1:]
-    cells = {}
-    for row in rows[1:]:
-        x = row[0]
-        for y, cell in zip(header, row[1:]):
-            if cell.startswith("{"):
-                cells[(x, y)] = frozenset(cell.strip("{}").split(","))
-            else:
-                cells[(x, y)] = frozenset([cell])
-    return header, cells
-
-
 def _criterion_1(progress: Progress) -> tuple[bool, str]:
-    from .io_cli import fixture_text
+    from .io_cli import fixture_text, render_table
 
-    op = _fixture_op("ex1.poset")
-    p = op.poset
-    odot_table, arrow_table = op_tables(op)
     checked = 0
-    for table, golden_name in (
-        (odot_table, "ex1_odot.golden"),
-        (arrow_table, "ex1_arrow.golden"),
-    ):
-        header, golden = _parse_golden(fixture_text(golden_name))
-        if list(header) != list(p.names):
-            return False, f"{golden_name}: element order mismatch"
-        for x in range(p.n):
-            for y in range(p.n):
-                got = frozenset(p.names_of(table.cells[x][y]))
-                want = golden[(p.names[x], p.names[y])]
-                if got != want:
-                    return False, (
-                        f"{table.kind}({p.names[x]}, {p.names[y]}) = "
-                        f"{sorted(got)}, table says {sorted(want)}"
-                    )
-                if len(got) != 1:
-                    return False, f"non-singleton cell in {table.kind}"
-                checked += 1
+    for table in op_tables(_fixture_op("ex1.poset")):
+        golden_name = f"ex1_{table.kind}.golden"
+        got = render_table(table, "text").splitlines()
+        want = fixture_text(golden_name).splitlines()
+        if got != want:
+            k = next((k for k, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+            return False, f"{golden_name}: rendered table differs at line {k + 1}"
+        cells = [mask for row in table.cells for mask in row]
+        if any(bin(mask).count("1") != 1 for mask in cells):
+            return False, f"non-singleton cell in {table.kind}"
+        checked += len(cells)
     return checked == 98, f"{checked} cells match, all singletons"
 
 

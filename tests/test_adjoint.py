@@ -150,7 +150,10 @@ def test_second_direction_alone_does_not_force_arrow_top():
 def test_consequences_of_one_direction_hold_on_every_small_map():
     # every unary map with n <= 4 that satisfies exactly one direction; on
     # the a2-only ones the converse "x <= y gives arrow = {top}" can fail,
-    # and it is no consequence of a2
+    # and it is no consequence of a2. The checker has no separate "a1 and
+    # a2 give a complementation" branch: a complementation is exactly "every
+    # x v x' is the top" (a1's check) and "every x ^ x' is the bottom" (a2's
+    # check), so once both of those pass such a branch could never fail.
     one_way = [
         OpPoset(p, prime)
         for p, prime, bits in verify.all_map_instances(4)

@@ -154,6 +154,29 @@ def test_middle_chain_has_no_complement():
     assert [op.poset.n for op in search(goal)] == [1, 2, 2]
 
 
+def _complements_from_tables(p):
+    """The reference: y is a complement of x when the join table gives the
+    top and the meet table the bottom."""
+    join, meet = p.join_table, p.meet_table
+    return [
+        [y for y in range(p.n) if join[x][y] == p.top and meet[x][y] == p.bottom]
+        for x in range(p.n)
+    ]
+
+
+def test_complement_candidates_build_no_join_or_meet_table(ex1):
+    p = ex1.poset
+    fresh = Poset(p.names, p.up)
+    assert complement_candidates(fresh) == _complements_from_tables(p)
+    assert fresh._joins is None and fresh._meets is None
+
+
+def test_complement_candidates_match_the_table_reference():
+    for n in range(1, 7):
+        for p in enumerate_posets(n):
+            assert complement_candidates(p) == _complements_from_tables(p), (p.up,)
+
+
 # -- canonical form -----------------------------------------------------------
 
 

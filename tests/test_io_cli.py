@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -206,6 +208,22 @@ def test_text_render_matches_goldens(ex1):
     assert render_table(arrow_table, "text") == fixture_text("ex1_arrow.golden")
 
 
+def test_criterion_1_names_the_golden_line_that_differs(monkeypatch):
+    from orthoposet import io_cli
+
+    assert verify._criterion_1(None) == (True, "98 cells match, all singletons")
+    real = io_cli.fixture_text
+
+    def altered(name):
+        lines = real(name).splitlines(keepends=True)
+        if name == "ex1_arrow.golden":
+            lines[2] = lines[2].replace("1", "0")
+        return "".join(lines)
+
+    monkeypatch.setattr(io_cli, "fixture_text", altered)
+    assert verify._criterion_1(None) == (False, "ex1_arrow.golden: rendered table differs at line 3")
+
+
 def test_text_render_multi_element_cells(benzene):
     # force a multi-element cell through a non-singleton subset: the benzene
     # cells are singletons, so render a table from a carrier that is not a
@@ -219,19 +237,48 @@ def test_text_render_multi_element_cells(benzene):
     assert "{x,y}" in out
 
 
+def _read_csv(text):
+    return list(csv.reader(io.StringIO(text)))
+
+
 def test_csv_render_lossless(m3):
     odot_table, _ = op_tables(m3)
-    text = render_table(odot_table, "csv")
-    lines = text.strip().splitlines()
-    assert lines[0].split(",")[0] == "odot"
-    header = lines[0].split(",")[1:]
+    rows = _read_csv(render_table(odot_table, "csv"))
     p = m3.poset
-    for x, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        assert cells[0] == p.names[x]
-        for y, cell in enumerate(cells[1:]):
-            assert tuple(cell.split("|")) == p.names_of(odot_table.cells[x][y])
-    assert header == list(p.names)
+    assert rows[0] == ["odot"] + list(p.names)
+    for x, row in enumerate(rows[1:]):
+        assert row[0] == p.names[x]
+        for y, cell in enumerate(row[1:]):
+            assert tuple(cell.split(" ")) == p.names_of(odot_table.cells[x][y])
+
+
+LABEL_FILE = (
+    "poset labels\n"
+    "elements 0 a,b c|d 1\n"
+    "covers 0<a,b 0<c|d a,b<1 c|d<1\n"
+    "prime 0:1 a,b:c|d c|d:a,b 1:0\n"
+)
+
+
+def test_csv_keeps_commas_bars_and_quotes_in_labels(tmp_path, capsys):
+    path = tmp_path / "labels.poset"
+    path.write_text(LABEL_FILE)
+    assert main(["tables", str(path), "--op", "odot", "--format", "csv"]) == 0
+    rows = _read_csv(capsys.readouterr().out)
+    assert rows[0] == ["odot", "0", "a,b", "c|d", "1"]
+    assert [len(row) for row in rows] == [5] * 5
+    assert [row[0] for row in rows[1:]] == ["0", "a,b", "c|d", "1"]
+    # a set cell lists its members with a space, which no label contains
+    from orthoposet.sasaki import OpTable
+
+    p = Poset.from_covers(("0", 'a"b', "c,d", "1"), [(0, 1), (0, 2), (1, 3), (2, 3)])
+    pair = p.mask(['a"b', "c,d"])
+    table = OpTable("arrow", p, ((pair,) * p.n,) * p.n)
+    rows = _read_csv(render_table(table, "csv"))
+    assert rows[0] == ["arrow"] + list(p.names)
+    for name, row in zip(p.names, rows[1:]):
+        assert row[0] == name
+        assert [cell.split(" ") for cell in row[1:]] == [['a"b', "c,d"]] * p.n
 
 
 def test_json_render_lossless(m3):

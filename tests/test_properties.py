@@ -3,9 +3,11 @@ import itertools
 
 import pytest
 
+from orthoposet import verify
 from orthoposet.enumeration import enumerate_posets
 from orthoposet.poset_core import OpPoset, Poset
 from orthoposet.properties import (
+    Witness,
     is_antitone,
     is_complementation,
     is_involution,
@@ -99,6 +101,28 @@ def test_complementation_cases(ex1):
     rep = is_complementation(identity)
     assert not rep.holds
     assert rep.witness.elements == (0,)
+
+
+def _complementation_from_tables(op):
+    """The reference: holds and witness read from the join and meet tables."""
+    p = op.poset
+    for x in range(p.n):
+        if p.join(x, op.prime[x]) != p.top:
+            return False, Witness((x,), "join_with_image_not_top")
+        if p.meet(x, op.prime[x]) != p.bottom:
+            return False, Witness((x,), "meet_with_image_not_bottom")
+    return True, None
+
+
+def test_complementation_matches_the_table_reference(fixture_ops):
+    ops = [OpPoset(p, prime) for p, prime, _ in verify.all_map_instances(4)]
+    ops += fixture_ops.values()
+    seen = set()
+    for op in ops:
+        rep = is_complementation(op)
+        assert (rep.holds, rep.witness) == _complementation_from_tables(op), (op.poset.up, op.prime)
+        seen.add(rep.witness.condition if rep.witness else None)
+    assert seen == {None, "join_with_image_not_top", "meet_with_image_not_bottom"}
 
 
 # -- antitone / involution ---------------------------------------------------
