@@ -11,6 +11,10 @@ File format (line oriented, ``#`` starts a comment, sections in this order,
 Labels are any non-whitespace strings without ``<`` or ``:``. The cover
 relation is closed reflexively-transitively; the result must be a bounded
 poset. ``prime``, when present, must be total.
+
+Tables: a set cell lists its members separated by a space, which no label
+contains (in braces in text, when there is more than one); two text or CSV
+tables are separated by one blank line.
 """
 from __future__ import annotations
 
@@ -206,39 +210,35 @@ def load_fixture(name: str) -> PosetDocument:
 # ---------------------------------------------------------------------------
 
 
+def _members(p: Poset, mask: int) -> str:
+    """A set cell's members joined by a space, which no label contains: the
+    CSV cell, and the text cell inside its braces."""
+    return " ".join(p.names_of(mask))
+
+
 def _cell_text(p: Poset, mask: int) -> str:
-    names = p.names_of(mask)
-    if len(names) == 1:
-        return names[0]
-    return "{" + ",".join(names) + "}"
+    members = _members(p, mask)
+    return members if mask.bit_count() == 1 else "{" + members + "}"
 
 
 def render_table(table: OpTable, fmt: str = "text") -> str:
-    p = table.poset
-    if fmt == "text":
-        head = [table.kind] + list(p.names)
-        rows = [head]
-        for x in range(p.n):
-            rows.append(
-                [p.names[x]] + [_cell_text(p, table.cells[x][y]) for y in range(p.n)]
-            )
-        widths = [max(len(r[c]) for r in rows) for c in range(p.n + 1)]
-        return "\n".join(
-            "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip()
-            for row in rows
-        ) + "\n"
-    if fmt == "csv":
-        # a set cell joins its members with a space, which no label contains
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([table.kind] + list(p.names))
-        for x in range(p.n):
-            cells = [" ".join(p.names_of(table.cells[x][y])) for y in range(p.n)]
-            writer.writerow([p.names[x]] + cells)
-        return out.getvalue()
     if fmt == "json":
         return json.dumps(_table_payload(table), indent=2) + "\n"
-    raise PosetError(f"unknown table format {fmt!r}")
+    if fmt not in ("text", "csv"):
+        raise PosetError(f"unknown table format {fmt!r}")
+    p = table.poset
+    cell = _cell_text if fmt == "text" else _members
+    rows = [[table.kind, *p.names]]
+    rows += [[p.names[x]] + [cell(p, mask) for mask in table.cells[x]] for x in range(p.n)]
+    if fmt == "csv":
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        return out.getvalue()
+    widths = [max(len(r[c]) for r in rows) for c in range(p.n + 1)]
+    return "\n".join(
+        "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip()
+        for row in rows
+    ) + "\n"
 
 
 def _table_payload(table: OpTable) -> dict:
@@ -367,6 +367,10 @@ def _load_for_cli(path: str) -> PosetDocument:
         raise PosetError(f"cannot read {path}: {exc.strerror}") from None
 
 
+def _load_op(path: str) -> OpPoset:
+    return document_to_op(_load_for_cli(path))
+
+
 def _cmd_check(args) -> int:
     doc = _load_for_cli(args.file)
     p, _, reports = _profile(doc)
@@ -385,47 +389,26 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    doc = _load_for_cli(args.file)
-    op = document_to_op(doc)
-    try:
-        odot_table, arrow_table = op_tables(op)
-    except UndefinedOperationError as exc:
-        print(
-            f"cannot build the tables: {exc}. The operations are total exactly "
-            "on orthogonal posets; run `check --props orthogonal` for a witness.",
-            file=sys.stderr,
-        )
-        return 1
-    chosen = {"odot": [odot_table], "arrow": [arrow_table], "both": [odot_table, arrow_table]}
+    tables = op_tables(_load_op(args.file))
     if args.format == "json" and args.op == "both":
-        print(json.dumps([_table_payload(t) for t in chosen["both"]], indent=2))
+        print(json.dumps([_table_payload(t) for t in tables], indent=2))
         return 0
-    for table in chosen[args.op]:
-        sys.stdout.write(render_table(table, args.format))
-        if args.format == "text":
-            print()
+    chosen = {"odot": tables[:1], "arrow": tables[1:], "both": tables}[args.op]
+    sys.stdout.write("\n".join(render_table(t, args.format) for t in chosen))
     return 0
 
 
 def _load_directions(args):
-    """Load the file's instance and print both directions; None, with the
-    reason on stderr, when the operations are undefined."""
-    op = document_to_op(_load_for_cli(args.file))
-    try:
-        rep = is_adjoint_pair(op)
-    except UndefinedOperationError as exc:
-        print(f"operations undefined ({exc}); the poset is not orthogonal", file=sys.stderr)
-        return None
+    """Load the file's instance and print both directions."""
+    op = _load_op(args.file)
+    rep = is_adjoint_pair(op)
     print(f"a1: {str(rep.a1).lower()}")
     print(f"a2: {str(rep.a2).lower()}")
     return op.poset, rep
 
 
 def _cmd_adjoint(args) -> int:
-    loaded = _load_directions(args)
-    if loaded is None:
-        return 1
-    p, rep = loaded
+    p, rep = _load_directions(args)
     if args.witness:
         if rep.a1_witness:
             print("a1 witness:", ", ".join(p.names[i] for i in rep.a1_witness))
@@ -436,10 +419,7 @@ def _cmd_adjoint(args) -> int:
 
 
 def _cmd_thm1(args) -> int:
-    loaded = _load_directions(args)
-    if loaded is None:
-        return 1
-    p, rep = loaded
+    p, rep = _load_directions(args)
     for key in CONDITION_KEYS:
         line = f"({key}): {str(rep.conditions[key]).lower()}"
         wit = rep.condition_witnesses[key]
@@ -452,8 +432,7 @@ def _cmd_thm1(args) -> int:
 
 
 def _cmd_o6(args) -> int:
-    doc = _load_for_cli(args.file)
-    op = document_to_op(doc)
+    op = _load_op(args.file)
     p = op.poset
     found = find_o6_subalgebra(op)
     if found is None:
@@ -469,19 +448,16 @@ def _cmd_o6(args) -> int:
 
 
 def _cmd_proj(args) -> int:
-    doc = _load_for_cli(args.file)
-    op = document_to_op(doc)
+    op = _load_op(args.file)
     p = op.poset
     a = p.index(args.a)
-    xs = [p.index(args.x)] if args.x else list(range(p.n))
-    try:
-        for x in xs:
-            fwd = _cell_text(p, sasaki_proj(op, a, x))
-            dual = _cell_text(p, sasaki_proj_dual(op, a, x))
-            print(f"x={p.names[x]}: projection {fwd}  dual {dual}")
-    except UndefinedOperationError as exc:
-        print(f"projection undefined: {exc}; the poset is not orthogonal", file=sys.stderr)
-        return 1
+    xs = [p.index(args.x)] if args.x else range(p.n)
+    lines = [
+        f"x={p.names[x]}: projection {_cell_text(p, sasaki_proj(op, a, x))}"
+        f"  dual {_cell_text(p, sasaki_proj_dual(op, a, x))}"
+        for x in xs
+    ]
+    print("\n".join(lines))
     return 0
 
 
@@ -600,6 +576,13 @@ def main(argv=None) -> int:
         status = args.func(args)
         sys.stdout.flush()  # a closed reader shows up here, not at exit
         return status
+    except UndefinedOperationError as exc:
+        print(
+            f"operations undefined: the poset is not orthogonal ({exc}); they are total "
+            "exactly on orthogonal posets, and `check --props orthogonal` names a witness",
+            file=sys.stderr,
+        )
+        return 1
     except PosetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

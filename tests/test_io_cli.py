@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orthoposet import naive, verify
@@ -29,9 +30,9 @@ from orthoposet.io_cli import (
     render_table,
     serialize_document,
 )
-from orthoposet.poset_core import Poset, PosetError
+from orthoposet.poset_core import OpPoset, Poset, PosetError
 from orthoposet.properties import PROPERTY_NAMES, op_reports
-from orthoposet.sasaki import op_tables
+from orthoposet.sasaki import OpTable, is_sasaki_total, op_tables
 
 from conftest import bounded_posets
 
@@ -229,12 +230,62 @@ def test_text_render_multi_element_cells(benzene):
     # cells are singletons, so render a table from a carrier that is not a
     # lattice after dropping orthogonality is overkill; instead check the
     # braces path via a handmade table
-    from orthoposet.sasaki import OpTable
-
     p = benzene.poset
     t = OpTable("odot", p, ((p.mask(["x", "y"]),) * p.n,) * p.n)
     out = render_table(t, "text")
-    assert "{x,y}" in out
+    assert "{x y}" in out
+
+
+def _diamond(middle):
+    return Poset.from_covers(("0", *middle, "1"), [(0, 1), (0, 2), (1, 3), (2, 3)])
+
+
+def _text_cells(text):
+    """The body cells of a rendered text table, cut at the header's columns:
+    labels hold no whitespace, so each header token starts a column."""
+    lines = text.splitlines()
+    starts = [m.start() for m in re.finditer(r"\S+", lines[0])]
+    ends = [s - 2 for s in starts[1:]] + [None]
+    return [[line[s:e].rstrip() for s, e in zip(starts, ends)][1:] for line in lines[1:]]
+
+
+def test_text_cells_tell_comma_labels_apart():
+    # both middle elements in every cell: "{a,b,c}" for either labeling if
+    # members were joined by a comma
+    cells = []
+    for middle in (("a,b", "c"), ("a", "b,c")):
+        p = _diamond(middle)
+        pair = p.mask(middle)
+        cells.append(_text_cells(render_table(OpTable("odot", p, ((pair,) * p.n,) * p.n), "text")))
+    assert cells[0] == [["{a,b c}"] * 4] * 4
+    assert cells[1] == [["{a b,c}"] * 4] * 4
+
+
+# unique labels that a poset file can hold: no whitespace, "<", ":" or the
+# comment sign "#"; the parts make commas, braces, quotes and the table names
+# common
+_label_text = st.text(
+    st.characters(blacklist_categories=("Z", "C"), blacklist_characters="<:#"), min_size=1, max_size=3
+)
+_label_parts = st.lists(st.sampled_from([",", "{", "}", '"', "arrow", "odot", "a"]), min_size=1, max_size=3)
+_labels = _label_text | _label_parts.map("".join)
+
+
+@st.composite
+def labeled_posets(draw):
+    p = draw(bounded_posets())
+    names = draw(st.lists(_labels, min_size=p.n, max_size=p.n, unique=True))
+    return Poset.from_covers(names, p.covers())
+
+
+@given(labeled_posets(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_distinct_cell_masks_render_distinct_text_cells(p, data):
+    masks = data.draw(st.lists(st.integers(1, p.full), min_size=p.n * p.n, max_size=p.n * p.n))
+    cells = tuple(tuple(masks[x * p.n:(x + 1) * p.n]) for x in range(p.n))
+    texts = [t for row in _text_cells(render_table(OpTable("odot", p, cells), "text")) for t in row]
+    pairs = set(zip(masks, texts))
+    assert len(pairs) == len({m for m, _ in pairs}) == len({t for _, t in pairs})
 
 
 def _read_csv(text):
@@ -269,8 +320,6 @@ def test_csv_keeps_commas_bars_and_quotes_in_labels(tmp_path, capsys):
     assert [len(row) for row in rows] == [5] * 5
     assert [row[0] for row in rows[1:]] == ["0", "a,b", "c|d", "1"]
     # a set cell lists its members with a space, which no label contains
-    from orthoposet.sasaki import OpTable
-
     p = Poset.from_covers(("0", 'a"b', "c,d", "1"), [(0, 1), (0, 2), (1, 3), (2, 3)])
     pair = p.mask(['a"b', "c,d"])
     table = OpTable("arrow", p, ((pair,) * p.n,) * p.n)
@@ -279,6 +328,34 @@ def test_csv_keeps_commas_bars_and_quotes_in_labels(tmp_path, capsys):
     for name, row in zip(p.names, rows[1:]):
         assert row[0] == name
         assert [cell.split(" ") for cell in row[1:]] == [['a"b', "c,d"]] * p.n
+
+
+def test_csv_both_tables_split_at_one_empty_row(tmp_path, capsys):
+    # an element labeled "arrow" starts a row like the arrow table's header
+    p = _diamond(("arrow", "odot"))
+    path = tmp_path / "arrow.poset"
+    path.write_text(serialize_document(poset_to_document(p, "arrow", (3, 2, 1, 0))))
+    assert main(["tables", str(path), "--op", "both", "--format", "csv"]) == 0
+    rows = _read_csv(capsys.readouterr().out)
+    assert rows.count([]) == 1
+    cut = rows.index([])
+    odot_rows, arrow_rows = rows[:cut], rows[cut + 1:]
+    assert [len(odot_rows), len(arrow_rows)] == [p.n + 1] * 2
+    assert odot_rows[0] == ["odot", *p.names] and arrow_rows[0] == ["arrow", *p.names]
+
+
+@given(labeled_posets(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_csv_both_reads_back_as_two_blocks(tmp_path_factory, p, data):
+    prime = data.draw(st.tuples(*[st.integers(0, p.n - 1)] * p.n), label="prime")
+    assume(is_sasaki_total(OpPoset(p, prime)))
+    path = tmp_path_factory.getbasetemp() / "labels.poset"
+    path.write_text(serialize_document(poset_to_document(p, "labels", prime)), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["tables", str(path), "--op", "both", "--format", "csv"]) == 0
+    widths = [len(row) for row in csv.reader(io.StringIO(out.getvalue(), newline=""))]
+    assert widths == [p.n + 1] * (p.n + 1) + [0] + [p.n + 1] * (p.n + 1)
 
 
 def test_json_render_lossless(m3):
@@ -423,16 +500,19 @@ def test_cli_tables_golden(tmp_path, capsys):
     assert [t["op"] for t in tables] == ["odot", "arrow"]
 
 
-def test_cli_tables_non_orthogonal(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command", [["tables"], ["adjoint"], ["thm1"], ["proj", "--a", "c"]], ids=lambda c: c[0]
+)
+def test_cli_undefined_operations_one_stderr_line(tmp_path, capsys, butterfly, command):
     path = tmp_path / "butterfly.poset"
-    path.write_text(
-        "poset butterfly\nelements 0 a b c d 1\n"
-        "covers 0<a 0<b a<c a<d b<c b<d c<1 d<1\n"
-        "prime 0:0 a:a b:b c:b d:d 1:1\n"
-    )
-    assert main(["tables", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert "orthogonal" in err
+    path.write_text(serialize_document(poset_to_document(butterfly.poset, "butterfly", butterfly.prime)))
+    assert main([command[0], str(path), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert captured.err.startswith("operations undefined: the poset is not orthogonal (undefined meet of (d, c))")
+    assert "total exactly on orthogonal posets" in captured.err
+    assert "`check --props orthogonal`" in captured.err
 
 
 def test_cli_adjoint(tmp_path, capsys):
