@@ -30,10 +30,6 @@ def enumerate_relations(n: int) -> Iterator[tuple[int, ...]]:
         yield kernels.decode_relation(code, n)
 
 
-def _default_names(n: int) -> tuple[str, ...]:
-    return tuple(f"p{i}" for i in range(n))
-
-
 def enumerate_posets(n: int) -> Iterator[Poset]:
     """Every labeled *bounded* poset on n elements, as Poset values.
 
@@ -42,11 +38,12 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
     constructor on a frame: the relation on elements 0..n-3, with n-2 below
     and n-1 above them. Every poset yielded is a frame relabeled so that n-2
     and n-1 land on the chosen bottom and top, and a relabeled valid order is
-    valid, so it is built by ``Poset._trusted`` without a second check.
+    valid, so it is built by ``Poset._trusted`` without a second check. It
+    records its frame and ``to_frame``, one tuple per (bottom, top) pair.
     """
     if not (1 <= n <= MAX_BOUNDED_N):
         raise PosetError(f"bounded enumeration supports 1 <= n <= {MAX_BOUNDED_N}")
-    names = _default_names(n)
+    names = tuple(f"p{i}" for i in range(n))
     if n == 1:
         yield Poset(names, (1,))
         return
@@ -56,7 +53,7 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
     for code in kernels.relation_codes(m) if m else [0]:
         rows = [row | 1 << (m + 1) for row in kernels.decode_relation(code, m)]
         frame = Poset(names, rows + [full, 1 << (m + 1)])
-        frames.append((frame.up, frame.down))
+        frames.append((frame, frame.up, frame.down))
     for bottom in range(n):
         for top in range(n):
             if top == bottom:
@@ -67,15 +64,13 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
             for s in range(1, full + 1):
                 j = (s & -s).bit_length() - 1
                 spread[s] = spread[s & (s - 1)] | 1 << target[j]
-            source = operator.itemgetter(*sorted(range(n), key=target.__getitem__))
+            to_frame = tuple(sorted(range(n), key=target.__getitem__))
+            source = operator.itemgetter(*to_frame)
             relabel = spread.__getitem__
-            for up, down in frames:
+            for frame, up, down in frames:
                 yield Poset._trusted(
-                    names,
-                    tuple(map(relabel, source(up))),
-                    tuple(map(relabel, source(down))),
-                    bottom,
-                    top,
+                    names, tuple(map(relabel, source(up))), tuple(map(relabel, source(down))),
+                    bottom, top, frame, to_frame,
                 )
 
 
@@ -196,21 +191,22 @@ def _goal_maps(goal: SearchGoal, n: int, poset_flags: dict[str, bool]):
     A poset passes when the deciders named in ``poset_flags`` give its values
     and, if the goal requires "complemented", every element has a complement;
     it then gets its complementations, or else ``_sampled_maps``. The verdict
-    is an isomorphism invariant, decided once per middle relation ("frame"):
-    ``enumerate_posets(n)`` yields bottom x top x ``relation_codes(n - 2)``,
-    so poset ``index`` is a relabeled copy of frame ``index % F``.
+    is an isomorphism invariant, decided on the first copy of each frame that
+    ``enumerate_posets(n)`` yields and kept under the frame the copy records
+    (the one poset at n = 1 has no frame and is its own key).
     """
     # looked up when the source is built, so a rebound module-global decider is the one run
     deciders = {"saturated": is_saturated, "modular": is_modular, "lattice": is_lattice}
     complemented = "complemented" in goal.require
-    frames = len(kernels.relation_codes(n - 2)) if n > 2 else 1
-    verdicts = []
+    verdicts = {}
 
     def maps(index: int, p: Poset):
-        frame = index % frames
-        if index == frame:
-            verdicts.append(all(deciders[f](p).holds == want for f, want in poset_flags.items()))
-        if not verdicts[frame]:
+        frame = p.frame or p
+        verdict = verdicts.get(frame)
+        if verdict is None:
+            verdict = all(deciders[f](p).holds == want for f, want in poset_flags.items())
+            verdicts[frame] = verdict
+        if not verdict:
             return ()
         if not complemented:
             return _sampled_maps(goal, index, p)

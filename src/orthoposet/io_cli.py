@@ -8,7 +8,7 @@ File format (line oriented, ``#`` starts a comment, sections in this order,
     covers A<B A<C ...
     prime A:B C:D ...
 
-Labels are any non-whitespace strings without ``<`` or ``:``. The cover
+Labels are any non-whitespace strings without ``#``, ``<`` or ``:``. The cover
 relation is closed reflexively-transitively; the result must be a bounded
 poset. ``prime``, when present, must be total.
 
@@ -166,6 +166,10 @@ def document_to_op(doc: PosetDocument) -> OpPoset:
 
 
 def serialize_document(doc: PosetDocument) -> str:
+    unreadable = ", ".join(repr(s) for s in doc.elements if re.search(r"[\s#<:]", s))
+    if unreadable:
+        raise PosetError(f"{doc.name}: labels {unreadable} would not read back "
+                         "(a label holds no whitespace, '#', '<' or ':')")
     lines = [f"poset {doc.name}", "elements " + " ".join(doc.elements)]
     if doc.covers:
         lines.append("covers " + " ".join(f"{a}<{b}" for a, b in doc.covers))

@@ -5,8 +5,9 @@ small carrier, and evaluating the full flag vector (orthogonality,
 complementation, adjointness directions, the six conditions, ...) for one
 (poset, unary map) instance. Both work on plain ints used as bitmasks, over
 per-poset tables that ``pack_poset`` builds once and every map on the poset
-shares. The pure-Python core modules never depend on this file, so every
-kernel result can be replayed against them.
+shares; the flags are isomorphism invariants, so the copies of one frame from
+``enumerate_posets`` share its tables, read through ``to_frame``. The core
+modules never depend on this file, so every kernel result can be replayed on them.
 
 The cell x (.) y reads no image but that of y, and x (->) y none but that
 of x, so most flags are an AND, over the elements, of predicates on one
@@ -14,7 +15,7 @@ of x, so most flags are an AND, over the elements, of predicates on one
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .adjoint import CONDITION_KEYS, EQUIVALENCE_GROUPS
@@ -48,13 +49,13 @@ def active_backend() -> str:
 class PackedPoset:
     """What the flag kernel adds to a poset, shared by every unary map on it.
 
-    ``poset`` is the poset itself: its up/down rows, join/meet tables and
-    Min U/Max L masks are read from there. ``min_upper_idx[x][y]`` and
-    ``max_lower_idx[x][y]`` hold the ascending indices of the masks
-    ``poset.min_upper[x][y]`` and ``poset.max_lower[x][y]``.
-    ``above[x]`` lists the indices of every y with x <= y.
-    ``entries[e][v]`` memoizes the per-element flag bits of element e with
-    image v (see ``instance_flags``); each slot stays None until first use.
+    ``poset`` is the poset itself, or the frame of a copy whose ``to_frame``
+    is set: its rows, join/meet tables and Min U/Max L masks are read there.
+    ``min_upper_idx[x][y]`` and ``max_lower_idx[x][y]`` hold the ascending
+    indices of the masks ``poset.min_upper[x][y]`` and ``poset.max_lower[x][y]``.
+    ``above[x]`` lists the indices of every y with x <= y. ``entries[e][v]``
+    memoizes the per-element flag bits of element e with image v (see
+    ``instance_flags``); each slot stays None until first use.
     """
 
     poset: Poset
@@ -62,6 +63,7 @@ class PackedPoset:
     min_upper_idx: tuple[tuple[tuple[int, ...], ...], ...]
     max_lower_idx: tuple[tuple[tuple[int, ...], ...], ...]
     entries: list[list[Optional[int]]] = field(compare=False, repr=False)
+    to_frame: Optional[tuple[int, ...]] = None
 
 
 def _index_table(masks):
@@ -71,6 +73,15 @@ def _index_table(masks):
 
 
 def pack_poset(p: Poset) -> PackedPoset:
+    """The tables of p; a copy gets those of its frame, built once for all copies."""
+    if p.frame is None:
+        return _pack(p)
+    if p.frame._packed is None:
+        p.frame._packed = _pack(p.frame)
+    return replace(p.frame._packed, to_frame=p.to_frame)
+
+
+def _pack(p: Poset) -> PackedPoset:
     return PackedPoset(
         p, tuple(indices_of(row) for row in p.up),
         _index_table(p.min_upper), _index_table(p.max_lower),
@@ -103,6 +114,12 @@ def instance_flags(packed: PackedPoset, prime) -> int:
         raise PosetError("prime map length does not match the carrier")
     if min(prime) < 0 or max(prime) >= n:
         raise PosetError("prime map sends an element outside the carrier")
+    s = packed.to_frame
+    if s is not None:  # a copy: the same flags as its frame under the moved map
+        fp = [0] * n
+        for i, v in enumerate(prime):
+            fp[s[i]] = s[v]
+        prime = fp
     flags = -1  # a poset has an element, so the AND keeps only entry bits
     for e, (row, v) in enumerate(zip(packed.entries, prime)):
         if row[v] is None:

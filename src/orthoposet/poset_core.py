@@ -78,14 +78,15 @@ class Poset:
     reflexivity, antisymmetry, transitivity and the existence of a least
     and greatest element, for every poset built from parsed or user input.
     The one exception is ``enumerate_posets``: it validates each middle
-    relation once through the constructor and builds its relabeled copies
-    with the unchecked ``_trusted``. The name index, the join and meet
-    tables and the tables of Min U and Max L masks (``min_upper``,
-    ``max_lower``) are built on first use.
+    relation once through the constructor, on a ``frame``, and builds its
+    relabeled copies with the unchecked ``_trusted``; a copy's element i is
+    ``to_frame[i]`` of its frame (both None on other posets). The name index,
+    the join and meet tables, the Min U and Max L masks (``min_upper``,
+    ``max_lower``) and a frame's kernel tables (``_packed``) are built on first use.
     """
 
-    __slots__ = ("names", "n", "up", "down", "bottom", "top", "full", "_index",
-                 "_joins", "_meets", "_min_upper", "_max_lower")
+    __slots__ = ("names", "n", "up", "down", "bottom", "top", "full", "frame", "to_frame",
+                 "_index", "_joins", "_meets", "_min_upper", "_max_lower", "_packed")
 
     def __init__(self, names: Sequence[str], up_rows: Sequence[int]):
         names = tuple(names)
@@ -129,17 +130,18 @@ class Poset:
         self.bottom = bottoms[0]
         self.top = tops[0]
         self.full = full
+        self.frame = self.to_frame = self._packed = None
         self._index = self._joins = self._meets = self._min_upper = self._max_lower = None
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def _trusted(cls, names: tuple[str, ...], up: tuple[int, ...], down: tuple[int, ...],
-                 bottom: int, top: int) -> "Poset":
-        """A poset from rows already known to form a valid bounded order.
+                 bottom: int, top: int, frame: "Poset", to_frame: tuple[int, ...]) -> "Poset":
+        """A copy of ``frame`` whose element i is frame element ``to_frame[i]``.
 
-        Nothing is checked, so the caller must derive the rows from a poset
-        the constructor validated; ``enumerate_posets`` relabels one.
+        Nothing is checked, so the caller must derive the rows from the
+        frame's; ``enumerate_posets`` does.
         """
         self = cls.__new__(cls)
         self.names = names
@@ -149,6 +151,7 @@ class Poset:
         self.bottom = bottom
         self.top = top
         self.full = (1 << self.n) - 1
+        self.frame, self.to_frame, self._packed = frame, to_frame, None
         self._index = self._joins = self._meets = self._min_upper = self._max_lower = None
         return self
 

@@ -355,11 +355,9 @@ POSET_DECIDERS = {"saturated": is_saturated, "modular": is_modular, "lattice": i
 
 
 def _frame_copies(n):
-    """(poset, first copy of its frame) over enumerate_posets(n), whose order
-    is bottom x top x relation_codes(n - 2)."""
-    frames = len(kernels.relation_codes(n - 2)) if n > 2 else 1
-    posets = list(enumerate_posets(n))
-    return [(p, posets[idx % frames]) for idx, p in enumerate(posets)]
+    """(poset, first copy of its frame) over enumerate_posets(n)."""
+    first = {}
+    return [(p, first.setdefault(p.frame or p, p)) for p in enumerate_posets(n)]
 
 
 def test_poset_verdicts_agree_across_copies_of_a_frame():

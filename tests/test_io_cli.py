@@ -150,6 +150,17 @@ def test_roundtrip_property(p, data):
     assert parse_poset(serialize_document(doc)) == doc
 
 
+@pytest.mark.parametrize("label", ["a#b", "#", "a b", "a\tb", "a<b", "a:b"])
+def test_serialize_refuses_labels_that_do_not_read_back(label):
+    # a label holding "#" was written as is and read back cut at the "#",
+    # as a comment: "line 4, column 7: unknown element '1' in prime"
+    p = Poset.from_covers(("0", label, "1"), [(0, 1), (1, 2)])
+    doc = poset_to_document(p, "x", (2, 1, 0))
+    with pytest.raises(PosetError, match=re.escape(f"labels {label!r} would not read back")):
+        serialize_document(doc)
+    assert serialize_document(poset_to_document(Poset(("0", "a", "1"), p.up), "x", (2, 1, 0)))
+
+
 # Documents in the file format's shape with random labels, covers and prime
 # entries and random lines spliced in, so that random text often gets past
 # the section keywords to the label, cover, prime and order checks.

@@ -10,8 +10,9 @@ import pytest
 
 from orthoposet import kernels
 from orthoposet.adjoint import EQUIVALENCE_GROUPS, is_adjoint_pair
-from orthoposet.enumeration import all_maps, enumerate_posets, instance_flag_map, sweep
+from orthoposet.enumeration import all_maps, complementations, enumerate_posets, instance_flag_map, sweep
 from orthoposet.poset_core import CARRIER_CAP, OpPoset, Poset, PosetError, indices_of
+from orthoposet.properties import is_lattice
 
 # Digests taken from the numpy evaluator this module replaced: the relation
 # codes of every labeled poset on n elements, in order ...
@@ -132,7 +133,9 @@ def test_entries_filled_lazily_and_in_any_order(ex1):
     for n in (3, 4):
         for p in enumerate_posets(n):
             maps = list(itertools.product(range(n), repeat=n))
-            forward, backward = kernels.pack_poset(p), kernels.pack_poset(p)
+            # the copy's pack shares its frame's entries; the frameless
+            # poset's pack starts empty and is filled in reverse map order
+            forward, backward = kernels.pack_poset(p), kernels.pack_poset(Poset(p.names, p.up))
             want = [kernels.instance_flags(forward, prime) for prime in maps]
             got = [kernels.instance_flags(backward, prime) for prime in reversed(maps)]
             assert got[::-1] == want, p.up
@@ -141,12 +144,11 @@ def test_entries_filled_lazily_and_in_any_order(ex1):
 def test_entry_total_iff_orthogonal():
     # "well-defined iff orthogonal", one (element, image) entry at a time:
     # which is why _entry reads no undefined bound past its totality gate.
-    # The frames are the first relabeling of each middle relation, one per
-    # relation code, so they cover every bounded poset up to isomorphism.
+    # The frames the copies record, one per middle relation, cover every
+    # bounded poset up to isomorphism.
     entries = split = 0
     for n in range(1, 7):
-        frames = len(kernels.relation_codes(n - 2)) if n > 2 else 1
-        for p in itertools.islice(enumerate_posets(n), frames):
+        for p in dict.fromkeys(q.frame or q for q in enumerate_posets(n)):
             packed = kernels.pack_poset(p)
             for e, v in itertools.product(range(n), repeat=2):
                 bits = kernels._entry(packed, e, v)
@@ -154,6 +156,50 @@ def test_entry_total_iff_orthogonal():
                 split += bool(bits & kernels.FLAGS["total"]) != bool(bits & kernels.FLAG_ORTHOGONAL)
     assert entries == 8421
     assert split == 0
+
+
+def test_frame_sharing_changes_no_bit():
+    # A copy from enumerate_posets is evaluated on its frame's tables; the
+    # same order through the validating constructor has no frame. Every
+    # complementation for n <= 5, then seeded maps on the 180 non-lattices at
+    # n = 6, the first posets with partial instances.
+    rng = random.Random(15)
+    instances = partial = 0
+    for n in range(1, 7):
+        for p in enumerate_posets(n):
+            if n <= 5:
+                maps = list(complementations(0, p))
+            elif is_lattice(p).holds:
+                continue
+            else:
+                maps = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(6)]
+            alone = Poset(p.names, p.up)
+            assert alone.frame is None and (p.frame is None) == (n == 1)
+            shared, fresh = kernels.pack_poset(p), kernels.pack_poset(alone)
+            assert fresh.poset is alone and fresh.to_frame is None
+            for prime in maps:
+                bits = kernels.instance_flags(shared, prime)
+                assert bits == kernels.instance_flags(fresh, prime), (p.up, prime)
+                instances += 1
+                partial += not bits & kernels.FLAGS["total"]
+    assert instances == 1 + 2 + 12 + 400 + 180 * 6
+    assert partial > 0
+
+
+def test_sweep_fills_each_frame_entry_once(monkeypatch):
+    # the copies of a frame share its entries: 2,190 complemented posets at
+    # n = 6 are copies of 73 frames, with 662 (frame, element, image) entries
+    calls = []
+    entry = kernels._entry
+
+    def counting_entry(packed, e, v):
+        calls.append((packed.poset, e, v))
+        return entry(packed, e, v)
+
+    monkeypatch.setattr(kernels, "_entry", counting_entry)
+    assert sum(1 for _ in sweep(6, complementations)) == 25470
+    assert len(calls) == len(set(calls)) == 662
+    assert len({frame for frame, _, _ in calls}) == 73
 
 
 def test_pack_poset_at_the_carrier_cap():
