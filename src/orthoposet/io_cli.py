@@ -8,9 +8,10 @@ File format (line oriented, ``#`` starts a comment, sections in this order,
     covers A<B A<C ...
     prime A:B C:D ...
 
-Labels are any non-whitespace strings without ``#``, ``<`` or ``:``. The cover
-relation is closed reflexively-transitively; the result must be a bounded
-poset. ``prime``, when present, must be total.
+NAME is any non-whitespace string without ``#``, and labels are such strings
+without ``<`` or ``:`` as well. The cover relation is closed
+reflexively-transitively; the result must be a bounded poset. ``prime``, when
+present, must be total.
 
 Tables: a set cell lists its members separated by a space, which no label
 contains (in braces in text, when there is more than one); two text or CSV
@@ -55,8 +56,15 @@ class PosetDocument:
 _SECTION_ORDER = ("poset", "elements", "covers", "prime")
 
 
+# What reads back as itself, as a document name or as a label: a nonempty
+# token with no whitespace and no "#" (a comment); a label also holds none of
+# the cover and prime separators "<" and ":".
+_READABLE = {kind: re.compile(rf"[^\s#{separators}]+").fullmatch
+             for kind, separators in (("name", ""), ("label", "<:"))}
+
+
 def _check_label(label: str, line: int, col: int) -> str:
-    if "<" in label or ":" in label:
+    if not _READABLE["label"](label):
         raise ParseError(line, col, f"label {label!r} may not contain '<' or ':'")
     return label
 
@@ -166,7 +174,10 @@ def document_to_op(doc: PosetDocument) -> OpPoset:
 
 
 def serialize_document(doc: PosetDocument) -> str:
-    unreadable = ", ".join(repr(s) for s in doc.elements if re.search(r"[\s#<:]", s))
+    if not _READABLE["name"](doc.name):
+        raise PosetError(f"document name {doc.name!r} would not read back "
+                         "(a name is nonempty and holds no whitespace or '#')")
+    unreadable = ", ".join(repr(s) for s in doc.elements if not _READABLE["label"](s))
     if unreadable:
         raise PosetError(f"{doc.name}: labels {unreadable} would not read back "
                          "(a label holds no whitespace, '#', '<' or ':')")
@@ -271,55 +282,6 @@ def export_dot(p: Poset) -> str:
         lines.append(f"  {_dot_id(p.names[i])} -> {_dot_id(p.names[j])};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-REPORT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "name": {"type": "string"},
-        "n": {"type": "integer", "minimum": 1},
-        "properties": {
-            "type": "object",
-            "properties": {k: {"type": "boolean"} for k in PROPERTY_NAMES},
-            "additionalProperties": False,
-        },
-        "witnesses": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "properties": {
-                    "elements": {"type": "array", "items": {"type": "string"}},
-                    "condition": {"type": "string"},
-                },
-                "required": ["elements", "condition"],
-            },
-        },
-        "adjoint": {
-            "type": "object",
-            "properties": {
-                "a1": {"type": "boolean"},
-                "a2": {"type": "boolean"},
-                "witnesses": {
-                    "type": "object",
-                    "properties": {
-                        "a1": {"type": ["array", "null"], "items": {"type": "string"}},
-                        "a2": {"type": ["array", "null"], "items": {"type": "string"}},
-                    },
-                    "required": ["a1", "a2"],
-                },
-            },
-            "required": ["a1", "a2", "witnesses"],
-        },
-        "conditions": {
-            "type": "object",
-            "properties": {k: {"type": "boolean"} for k in CONDITION_KEYS},
-            "required": list(CONDITION_KEYS),
-            "additionalProperties": False,
-        },
-    },
-    "required": ["name", "n", "properties"],
-    "additionalProperties": False,
-}
 
 
 def _profile(doc: PosetDocument) -> tuple[Poset, Optional[OpPoset], dict[str, PropertyReport]]:

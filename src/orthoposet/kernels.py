@@ -51,42 +51,24 @@ class PackedPoset:
 
     ``poset`` is the poset itself, or the frame of a copy whose ``to_frame``
     is set: its rows, join/meet tables and Min U/Max L masks are read there.
-    ``min_upper_idx[x][y]`` and ``max_lower_idx[x][y]`` hold the ascending
-    indices of the masks ``poset.min_upper[x][y]`` and ``poset.max_lower[x][y]``.
     ``above[x]`` lists the indices of every y with x <= y. ``entries[e][v]``
     memoizes the per-element flag bits of element e with image v (see
-    ``instance_flags``); each slot stays None until first use.
+    ``instance_flags``); each slot stays None until first use. One is built
+    per poset without a frame or per frame, and kept on it as ``_packed``.
     """
 
     poset: Poset
     above: tuple[tuple[int, ...], ...]
-    min_upper_idx: tuple[tuple[tuple[int, ...], ...], ...]
-    max_lower_idx: tuple[tuple[tuple[int, ...], ...], ...]
     entries: list[list[Optional[int]]] = field(compare=False, repr=False)
     to_frame: Optional[tuple[int, ...]] = None
 
 
-def _index_table(masks):
-    """Ascending indices of every cell, built once per distinct mask."""
-    idx = {m: indices_of(m) for m in set().union(*masks)}
-    return tuple(tuple(map(idx.__getitem__, row)) for row in masks)
-
-
 def pack_poset(p: Poset) -> PackedPoset:
-    """The tables of p; a copy gets those of its frame, built once for all copies."""
-    if p.frame is None:
-        return _pack(p)
-    if p.frame._packed is None:
-        p.frame._packed = _pack(p.frame)
-    return replace(p.frame._packed, to_frame=p.to_frame)
-
-
-def _pack(p: Poset) -> PackedPoset:
-    return PackedPoset(
-        p, tuple(indices_of(row) for row in p.up),
-        _index_table(p.min_upper), _index_table(p.max_lower),
-        [[None] * p.n for _ in range(p.n)],
-    )
+    """The kernel state of p, built once on p, or on its frame for a copy."""
+    f = p.frame or p
+    if f._packed is None:
+        f._packed = PackedPoset(f, tuple(map(indices_of, f.up)), [[None] * f.n for _ in range(f.n)])
+    return f._packed if f is p else replace(f._packed, to_frame=p.to_frame)
 
 
 def instance_flags(packed: PackedPoset, prime) -> int:
@@ -161,8 +143,8 @@ def _entry(packed: PackedPoset, e: int, v: int) -> int:
 
     # odot[x] lists m ^ e over m in Min U(x, e'), arrow[y] lists e' v m over
     # m in Max L(e, y); repeats are harmless below
-    odot = [[meet_e[m] for m in packed.min_upper_idx[x][v]] for x in rng]
-    arrow = [[join_v[m] for m in packed.max_lower_idx[e][y]] for y in rng]
+    odot = [[meet_e[m] for m in iter_mask(min_upper[x][v])] for x in rng]
+    arrow = [[join_v[m] for m in iter_mask(max_lower_e[y])] for y in rng]
     if any(None in cell for cell in odot) or any(None in cell for cell in arrow):
         return bits
     bits |= FLAGS["total"] | _GATED_FLAGS

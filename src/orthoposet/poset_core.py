@@ -27,15 +27,11 @@ class UndefinedOperationError(PosetError):
     table could not be built (typically: the poset is not orthogonal).
     """
 
-    def __init__(self, kind: str, left: int, right: int, poset: "Poset | None" = None):
+    def __init__(self, kind: str, left: int, right: int, poset: Poset):
         self.kind = kind
         self.left = left
         self.right = right
-        if poset is not None:
-            pair = f"{poset.names[left]}, {poset.names[right]}"
-        else:
-            pair = f"#{left}, #{right}"
-        super().__init__(f"undefined {kind} of ({pair})")
+        super().__init__(f"undefined {kind} of ({poset.names[left]}, {poset.names[right]})")
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -82,7 +78,8 @@ class Poset:
     relabeled copies with the unchecked ``_trusted``; a copy's element i is
     ``to_frame[i]`` of its frame (both None on other posets). The name index,
     the join and meet tables, the Min U and Max L masks (``min_upper``,
-    ``max_lower``) and a frame's kernel tables (``_packed``) are built on first use.
+    ``max_lower``) and the kernel state (``_packed``, on a poset without a
+    frame or on a frame) are built on first use.
     """
 
     __slots__ = ("names", "n", "up", "down", "bottom", "top", "full", "frame", "to_frame",

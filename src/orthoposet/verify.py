@@ -56,12 +56,12 @@ def _fixture_op(name: str) -> OpPoset:
 
 
 @functools.cache
-def sweep_instances(max_n: int = 5, progress: Progress = None) -> list[Instance]:
-    """Every bounded poset on <= max_n elements crossed with every
+def sweep_instances(progress: Progress = None) -> list[Instance]:
+    """Every bounded poset on <= 5 elements crossed with every
     complementation that makes it orthogonal, with kernel flag bits. The
     cache key includes ``progress``, which hears one line per n on a build."""
     out = []
-    for n in range(1, max_n + 1):
+    for n in range(1, 6):
         posets = 0
 
         def maps(index: int, p: Poset):
@@ -80,16 +80,14 @@ def sweep_instances(max_n: int = 5, progress: Progress = None) -> list[Instance]
 
 
 @functools.cache
-def all_map_instances(max_n: int = 4) -> list[Instance]:
-    """Every bounded poset on <= max_n elements crossed with every unary map."""
-    return [
-        (p, prime, bits) for n in range(1, max_n + 1) for _, p, prime, bits in sweep(n, all_maps)
-    ]
+def all_map_instances() -> list[Instance]:
+    """Every bounded poset on <= 4 elements crossed with every unary map."""
+    return [(p, prime, bits) for n in range(1, 5) for _, p, prime, bits in sweep(n, all_maps)]
 
 
 @functools.cache
-def _bounded_pool(max_n: int = 5) -> dict[int, list[Poset]]:
-    return {n: list(enumerate_posets(n)) for n in range(1, max_n + 1)}
+def _bounded_pool() -> dict[int, list[Poset]]:
+    return {n: list(enumerate_posets(n)) for n in range(1, 6)}
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +209,7 @@ def _criterion_5(progress: Progress) -> tuple[bool, str]:
 
 
 def _criterion_6(progress: Progress) -> tuple[bool, str]:
-    instances = sweep_instances(5, progress)
+    instances = sweep_instances(progress)
     flag = kernels.FLAGS
     for p, prime, bits in instances:
         if any(len({bool(bits & flag[name]) for name in group}) != 1 for group in EQUIVALENCE_GROUPS):
@@ -227,7 +225,7 @@ def _criterion_6(progress: Progress) -> tuple[bool, str]:
 
 
 def _criterion_7(progress: Progress) -> tuple[bool, str]:
-    instances = sweep_instances(5, progress)
+    instances = sweep_instances(progress)
     omod = 0
     for p, prime, bits in instances:
         if bits & kernels.FLAGS["orthomodular"]:
@@ -244,8 +242,8 @@ def _criterion_7(progress: Progress) -> tuple[bool, str]:
 
 
 def _criterion_8(progress: Progress) -> tuple[bool, str]:
-    complemented = sweep_instances(5, progress)
-    arbitrary = [inst for inst in all_map_instances(4) if inst[2] & kernels.FLAG_ORTHOGONAL]
+    complemented = sweep_instances(progress)
+    arbitrary = [inst for inst in all_map_instances() if inst[2] & kernels.FLAG_ORTHOGONAL]
     directions = kernels.FLAGS["a1"] | kernels.FLAGS["a2"]
     for p, prime, bits in complemented + arbitrary:
         # a map with neither direction has no consequence to check
@@ -259,7 +257,7 @@ def _criterion_8(progress: Progress) -> tuple[bool, str]:
 def _criterion_9(progress: Progress) -> tuple[bool, str]:
     checked = 0
     omod = 0
-    for p, prime, bits in sweep_instances(5, progress):
+    for p, prime, bits in sweep_instances(progress):
         rep = check_projection_laws(OpPoset(p, prime))
         if not rep.holds:
             return False, f"projection law fails on n={p.n} prime={prime}: {rep.witness.condition}"
@@ -270,7 +268,7 @@ def _criterion_9(progress: Progress) -> tuple[bool, str]:
 
 
 def _criterion_10(progress: Progress) -> tuple[bool, str]:
-    instances = all_map_instances(4)
+    instances = all_map_instances()
     for p, prime, bits in instances:
         if bool(bits & kernels.FLAGS["total"]) != bool(bits & kernels.FLAG_ORTHOGONAL):
             return False, f"totality/orthogonality split on n={p.n} prime={prime}"
@@ -288,7 +286,7 @@ _PROBE_OPS = ("lower", "upper", "maximal", "minimal", "odot", "arrow")
 
 def _criterion_11(progress: Progress) -> tuple[bool, str]:
     rng = random.Random(1729)
-    pool = _bounded_pool(5)
+    pool = _bounded_pool()
     mismatches = 0
     for probe in range(10_000):
         n = rng.randint(1, 5)

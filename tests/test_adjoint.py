@@ -97,7 +97,7 @@ def test_adjoint_reports_pinned(fixture_ops):
     # with n <= 5 is a lattice, so ex1 and the n = 6 maps are the ones on
     # non-lattices (where the conditions never meet an undefined bound
     # either, as the maps are orthogonal).
-    ops = [OpPoset(p, prime) for p, prime, _ in verify.sweep_instances(5) + verify.all_map_instances(4)]
+    ops = [OpPoset(p, prime) for p, prime, _ in verify.sweep_instances() + verify.all_map_instances()]
     ops += fixture_ops.values()
     rng = random.Random(6)
     for p in enumerate_posets(6):
@@ -156,7 +156,7 @@ def test_consequences_of_one_direction_hold_on_every_small_map():
     # check), so once both of those pass such a branch could never fail.
     one_way = [
         OpPoset(p, prime)
-        for p, prime, bits in verify.all_map_instances(4)
+        for p, prime, bits in verify.all_map_instances()
         if bool(bits & kernels.FLAGS["a1"]) != bool(bits & kernels.FLAGS["a2"])
     ]
     assert len(one_way) == 592

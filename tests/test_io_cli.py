@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -14,8 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orthoposet import naive, verify
+from orthoposet.adjoint import CONDITION_KEYS
 from orthoposet.io_cli import (
-    REPORT_SCHEMA,
     ParseError,
     document_to_op,
     document_to_poset,
@@ -34,7 +35,7 @@ from orthoposet.poset_core import OpPoset, Poset, PosetError
 from orthoposet.properties import PROPERTY_NAMES, op_reports
 from orthoposet.sasaki import OpTable, is_sasaki_total, op_tables
 
-from conftest import bounded_posets
+from conftest import bounded_posets, two_chain
 
 FIXTURES = ("ex1.poset", "m3.poset", "fig3.poset", "benzene.poset", "cube8.poset")
 
@@ -159,6 +160,19 @@ def test_serialize_refuses_labels_that_do_not_read_back(label):
     with pytest.raises(PosetError, match=re.escape(f"labels {label!r} would not read back")):
         serialize_document(doc)
     assert serialize_document(poset_to_document(Poset(("0", "a", "1"), p.up), "x", (2, 1, 0)))
+
+
+@pytest.mark.parametrize("name", ["a#b", "#", "my poset", "a\tb", "a\n", "", "a<b", "a:b", "<:"])
+def test_document_names_read_back_or_are_refused(name):
+    # a name was written as is: "a#b" read back as "a", and "my poset" or ""
+    # failed to parse with "poset section expects exactly one name"; only
+    # labels must avoid the separators "<" and ":"
+    doc = poset_to_document(two_chain().poset, name, (1, 0))
+    if re.search(r"\s|#", name) or not name:
+        with pytest.raises(PosetError, match=re.escape(f"document name {name!r} would not read back")):
+            serialize_document(doc)
+    else:
+        assert parse_poset(serialize_document(doc)) == doc
 
 
 # Documents in the file format's shape with random labels, covers and prime
@@ -419,6 +433,56 @@ def test_dot_escapes_quotes_and_backslashes():
 # -- JSON report ---------------------------------------------------------------
 
 
+# The shape of `check --json` output.
+REPORT_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "name": {"type": "string"},
+        "n": {"type": "integer", "minimum": 1},
+        "properties": {
+            "type": "object",
+            "properties": {k: {"type": "boolean"} for k in PROPERTY_NAMES},
+            "additionalProperties": False,
+        },
+        "witnesses": {
+            "type": "object",
+            "additionalProperties": {
+                "type": "object",
+                "properties": {
+                    "elements": {"type": "array", "items": {"type": "string"}},
+                    "condition": {"type": "string"},
+                },
+                "required": ["elements", "condition"],
+            },
+        },
+        "adjoint": {
+            "type": "object",
+            "properties": {
+                "a1": {"type": "boolean"},
+                "a2": {"type": "boolean"},
+                "witnesses": {
+                    "type": "object",
+                    "properties": {
+                        "a1": {"type": ["array", "null"], "items": {"type": "string"}},
+                        "a2": {"type": ["array", "null"], "items": {"type": "string"}},
+                    },
+                    "required": ["a1", "a2"],
+                },
+            },
+            "required": ["a1", "a2", "witnesses"],
+        },
+        "conditions": {
+            "type": "object",
+            "properties": {k: {"type": "boolean"} for k in CONDITION_KEYS},
+            "required": list(CONDITION_KEYS),
+            "additionalProperties": False,
+        },
+    },
+    "required": ["name", "n", "properties"],
+    "additionalProperties": False,
+}
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_json_report_schema_and_reproducibility(name):
     doc = load_fixture(name)
@@ -537,6 +601,14 @@ def test_cli_adjoint(tmp_path, capsys):
     assert "adjoint pair: true" in capsys.readouterr().out
 
 
+def test_cli_adjoint_prints_both_witnesses(tmp_path, capsys):
+    benzene = fixture_path(tmp_path, "benzene.poset")
+    assert main(["adjoint", benzene, "--witness"]) == 1
+    assert capsys.readouterr().out == (
+        "a1: false\na2: false\na1 witness: z, u, 0\na2 witness: x, z, x\nadjoint pair: false\n"
+    )
+
+
 def test_cli_thm1(tmp_path, capsys):
     m3 = fixture_path(tmp_path, "m3.poset")
     assert main(["thm1", m3]) == 0
@@ -576,6 +648,24 @@ def test_cli_search(capsys):
     out = capsys.readouterr().out
     assert "3 match(es)" in out
     assert "prime" in out and "# flags:" in out
+
+
+# sha256 of the whole stdout of two search goals, one over complementations
+# and one over seeded map samples: a change to how search decides the flags it
+# prints must keep both byte for byte.
+SEARCH_STDOUT_SHA256 = {
+    "--require modular,complemented --forbid orthomodular --max-n 5 --limit 100":
+        "180809c11cb430bbbd4f0e7cab5269d79f51b9f4a8732dcfd5c40e6cab5cfa6f",
+    "--require involution,orthogonal --forbid adjoint --max-n 5 --limit 20 --seed 3":
+        "63339b821a94a34ca86b4d813351dac54dfd8069f1eaea8feb7e1693e65cbc9b",
+}
+
+
+@pytest.mark.parametrize("args", sorted(SEARCH_STDOUT_SHA256))
+def test_cli_search_stdout_pinned(args, capsys):
+    assert main(["search", *args.split()]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_STDOUT_SHA256[args]
 
 
 def test_cli_search_bad_flag(capsys):

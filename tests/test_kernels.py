@@ -42,12 +42,15 @@ def test_active_backend_is_valid():
 def test_pack_poset_tables(ex1):
     p = ex1.poset
     packed = kernels.pack_poset(p)
-    assert packed.poset is p
-    for i in range(p.n):
-        assert packed.above[i] == indices_of(p.up[i])
-        for j in range(p.n):
-            assert packed.min_upper_idx[i][j] == indices_of(p.minimal(p.up[i] & p.up[j]))
-            assert packed.max_lower_idx[i][j] == indices_of(p.maximal(p.down[i] & p.down[j]))
+    assert packed.poset is p and packed.to_frame is None
+    assert packed.above == tuple(indices_of(row) for row in p.up)
+    # one state per poset without a frame, and one per frame for all its copies
+    q = Poset(p.names, p.up)
+    assert kernels.pack_poset(q) is kernels.pack_poset(q)
+    copy = list(enumerate_posets(4))[7]
+    shared = kernels.pack_poset(copy)
+    assert shared.poset is copy.frame and shared.to_frame == copy.to_frame
+    assert kernels.pack_poset(copy.frame).entries is shared.entries
 
 
 def test_flags_match_core_deciders():
@@ -121,12 +124,13 @@ def test_prime_images_outside_the_carrier_rejected():
     for prime in ((-1, 0), (2, 0)):
         with pytest.raises(PosetError, match="outside the carrier"):
             kernels.instance_flags(packed, prime)
-    fresh = kernels.instance_flags(kernels.pack_poset(chain), (1, 0))
+    fresh = kernels.instance_flags(kernels.pack_poset(Poset(chain.names, chain.up)), (1, 0))
     assert kernels.instance_flags(packed, (1, 0)) == fresh
 
 
 def test_entries_filled_lazily_and_in_any_order(ex1):
-    packed = kernels.pack_poset(ex1.poset)
+    # a poset of its own: ex1's state keeps the entries other tests fill
+    packed = kernels.pack_poset(Poset(ex1.poset.names, ex1.poset.up))
     kernels.instance_flags(packed, ex1.prime)
     filled = [(e, v) for e, row in enumerate(packed.entries) for v, bits in enumerate(row) if bits is not None]
     assert filled == list(enumerate(ex1.prime))

@@ -43,6 +43,9 @@ def test_single_element():
         (("a", "b", "c"), (0b011, 0b110, 0b100), "transitive"),
         (("a", "b"), (0b01, 0b10), "least"),
         (("a", "b", "c"), (0b101, 0b110, 0b100), "least"),
+        ((), (), "at least one element"),
+        (("a", "b"), (0b11,), "does not match"),
+        (("a", "b"), (0b111, 0b10), "outside the carrier"),
     ],
 )
 def test_rejects_invalid_structures(names, rows, message):
@@ -59,6 +62,11 @@ def test_rejects_missing_greatest():
 def test_rejects_cycle_in_covers():
     with pytest.raises(PosetError, match="antisymmetric"):
         Poset.from_covers(("a", "b"), [(0, 1), (1, 0)])
+
+
+def test_rejects_cover_outside_the_carrier():
+    with pytest.raises(PosetError, match=r"cover \(0, 2\) outside the carrier"):
+        Poset.from_covers(("a", "b"), [(0, 1), (0, 2)])
 
 
 def test_carrier_cap():
