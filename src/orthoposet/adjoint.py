@@ -18,7 +18,7 @@ from typing import Optional
 from .poset_core import OpPoset, PosetError, iter_mask
 from .properties import (
     PropertyReport,
-    Witness,
+    fail,
     is_complementation,
     is_lattice,
     is_modular,
@@ -158,13 +158,14 @@ def is_adjoint_pair(op: OpPoset) -> AdjointReport:
 def check_adjointness_consequences(op: OpPoset) -> PropertyReport:
     """What each adjunction direction forces on the unary operation.
 
-    If a1 holds, every x v x' is the top; if a2 holds, every x ^ x' is the
-    bottom and x (->) y = {top} only when x <= y. Both identities are read
-    from the order masks (see ``poset_core``), and together they are the
-    paper's "adjoint only if ' is a complementation". The converse "x <= y
-    gives x (->) y = {top}" is a1's join identity again, as x (->) y =
-    {x' v x} for x <= y, and a2 alone does not force it: the constant-bottom
-    map on the 2-chain satisfies a2 yet has 0 (->) 0 = {0}.
+    If a1 holds, every x v x' is the top (else ``a1_join_not_top``); if a2
+    holds, every x ^ x' is the bottom (else ``a2_meet_not_bottom``) and
+    x (->) y = {top} only when x <= y (else ``a2_arrow_top_not_le``). Both
+    identities are read from the order masks (see ``poset_core``), and
+    together they are the paper's "adjoint only if ' is a complementation".
+    The converse "x <= y gives x (->) y = {top}" is a1's join identity again,
+    as x (->) y = {x' v x} for x <= y, and a2 alone does not force it: the
+    constant-bottom map on the 2-chain satisfies a2 yet has 0 (->) 0 = {0}.
     """
     p = op.poset
     cells = _tables(op)
@@ -173,28 +174,22 @@ def check_adjointness_consequences(op: OpPoset) -> PropertyReport:
     if a1:
         for x in range(p.n):
             if p.up[x] & p.up[op.prime[x]] != top_mask:
-                return PropertyReport(
-                    "adjointness_consequences", False, Witness((x,), "a1_join_not_top")
-                )
+                return fail("adjointness_consequences", (x,), "a1_join_not_top")
     if a2:
         for x in range(p.n):
             if p.down[x] & p.down[op.prime[x]] != bottom_mask:
-                return PropertyReport(
-                    "adjointness_consequences", False, Witness((x,), "a2_meet_not_bottom")
-                )
+                return fail("adjointness_consequences", (x,), "a2_meet_not_bottom")
         for x in range(p.n):
             for y in range(p.n):
                 if cells[1][x][y] == top_mask and not p.le(x, y):
-                    return PropertyReport(
-                        "adjointness_consequences",
-                        False,
-                        Witness((x, y), "a2_arrow_top_not_le"),
-                    )
+                    return fail("adjointness_consequences", (x, y), "a2_arrow_top_not_le")
     return PropertyReport("adjointness_consequences", True)
 
 
 def check_modular_corollary(op: OpPoset) -> PropertyReport:
-    """Complemented + orthogonal + modular must grant conditions iii and vi."""
+    """Complemented + orthogonal + modular must grant conditions iii and vi;
+    a failure names the first violating (x, y) as ``condition_iii_fails`` or
+    ``condition_vi_fails``."""
     premise = (
         is_complementation(op).holds
         and is_orthogonal(op).holds
@@ -206,9 +201,7 @@ def check_modular_corollary(op: OpPoset) -> PropertyReport:
     for key in ("iii", "vi"):
         holds, wit = conds[key]
         if not holds:
-            return PropertyReport(
-                "modular_corollary", False, Witness(wit, f"condition_{key}_fails")
-            )
+            return fail("modular_corollary", wit, f"condition_{key}_fails")
     return PropertyReport("modular_corollary", True)
 
 

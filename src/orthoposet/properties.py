@@ -1,7 +1,8 @@
 """Decision procedures for the structural properties a carrier may enjoy.
 
 Every decider returns a PropertyReport; a failed check always carries a
-replayable witness (the lexicographically first violating tuple).
+replayable witness (the lexicographically first violating tuple), built by
+``fail``, which the checkers in ``sasaki`` and ``adjoint`` use as well.
 """
 from __future__ import annotations
 
@@ -50,7 +51,8 @@ class PropertyReport:
         return f"{self.property}: false  [witness ({names}): {w.condition}{extra}]"
 
 
-def _fail(prop: str, elements: tuple[int, ...], condition: str, detail: str = "") -> PropertyReport:
+def fail(prop: str, elements: tuple[int, ...], condition: str, detail: str = "") -> PropertyReport:
+    """The one constructor of a failed report: every checker's witness comes through here."""
     return PropertyReport(prop, False, Witness(elements, condition, detail))
 
 
@@ -73,7 +75,7 @@ def is_saturated(p: Poset) -> PropertyReport:
                     covered |= rows[m]
                 missed = rows[x] & rows[y] & ~covered
                 if missed:
-                    return _fail("saturated", (x, y, next(iter_mask(missed))), condition)
+                    return fail("saturated", (x, y, next(iter_mask(missed))), condition)
     return PropertyReport("saturated", True)
 
 
@@ -84,9 +86,9 @@ def is_orthogonal(op: OpPoset) -> PropertyReport:
         pa = op.prime[a]
         for b in range(p.n):
             if p.le(a, b) and p.join(a, op.prime[b]) is None:
-                return _fail("orthogonal", (a, b), "join_with_complement_undefined")
+                return fail("orthogonal", (a, b), "join_with_complement_undefined")
             if p.le(pa, b) and p.meet(a, b) is None:
-                return _fail("orthogonal", (a, b), "meet_undefined")
+                return fail("orthogonal", (a, b), "meet_undefined")
     return PropertyReport("orthogonal", True)
 
 
@@ -97,9 +99,9 @@ def is_complementation(op: OpPoset) -> PropertyReport:
     for x in range(p.n):
         px = op.prime[x]
         if p.up[x] & p.up[px] != 1 << p.top:
-            return _fail("complemented", (x,), "join_with_image_not_top")
+            return fail("complemented", (x,), "join_with_image_not_top")
         if p.down[x] & p.down[px] != 1 << p.bottom:
-            return _fail("complemented", (x,), "meet_with_image_not_bottom")
+            return fail("complemented", (x,), "meet_with_image_not_bottom")
     return PropertyReport("complemented", True)
 
 
@@ -108,14 +110,14 @@ def is_antitone(op: OpPoset) -> PropertyReport:
     for x in range(p.n):
         for y in iter_mask(p.up[x]):
             if not p.le(op.prime[y], op.prime[x]):
-                return _fail("antitone", (x, y), "order_not_reversed")
+                return fail("antitone", (x, y), "order_not_reversed")
     return PropertyReport("antitone", True)
 
 
 def is_involution(op: OpPoset) -> PropertyReport:
     for x in range(op.poset.n):
         if op.prime[op.prime[x]] != x:
-            return _fail("involution", (x,), "double_image_differs")
+            return fail("involution", (x,), "double_image_differs")
     return PropertyReport("involution", True)
 
 
@@ -129,12 +131,12 @@ def is_orthomodular(op: OpPoset) -> PropertyReport:
         for y in iter_mask(p.up[x]):
             j1 = p.join(op.prime[y], x)
             if j1 is None:
-                return _fail("orthomodular", (x, y), "complement_join_undefined")
+                return fail("orthomodular", (x, y), "complement_join_undefined")
             j2 = p.join(x, op.prime[j1])
             if j2 is None:
-                return _fail("orthomodular", (x, y), "law_join_undefined")
+                return fail("orthomodular", (x, y), "law_join_undefined")
             if j2 != y:
-                return _fail("orthomodular", (x, y), "orthomodular_law_fails")
+                return fail("orthomodular", (x, y), "orthomodular_law_fails")
     return PropertyReport("orthomodular", True)
 
 
@@ -154,7 +156,7 @@ def is_modular(p: Poset) -> PropertyReport:
                 if s not in lower:
                     lower[s] = p.lower_bounds(s)
                 if lu[x][y] & p.down[z] != lower[s]:
-                    return _fail("modular", (x, y, z), "modular_law_fails")
+                    return fail("modular", (x, y, z), "modular_law_fails")
     return PropertyReport("modular", True)
 
 
@@ -162,9 +164,9 @@ def is_lattice(p: Poset) -> PropertyReport:
     for x in range(p.n):
         for y in range(x + 1, p.n):
             if p.join(x, y) is None:
-                return _fail("lattice", (x, y), "join_undefined")
+                return fail("lattice", (x, y), "join_undefined")
             if p.meet(x, y) is None:
-                return _fail("lattice", (x, y), "meet_undefined")
+                return fail("lattice", (x, y), "meet_undefined")
     return PropertyReport("lattice", True)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poset_core import OpPoset, Poset, PosetError, UndefinedOperationError, iter_mask
-from .properties import PropertyReport, Witness, is_orthomodular
+from .properties import PropertyReport, fail, is_orthomodular
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,14 @@ def _sample_subsets(p: Poset, exhaustive: bool) -> list[int]:
 def check_projection_laws(op: OpPoset, exhaustive: bool = False) -> PropertyReport:
     """Projection behaviour over a deterministic subset sample.
 
-    For every parameter a and sampled subsets: the projection lands in the
-    segment [bottom, a]; the top projects to {a}; projecting preserves the
-    lower-cover comparison. On orthomodular carriers additionally: a'
-    projects to {bottom}, the segment is fixed pointwise, and projecting is
-    idempotent. The sample is all subsets of size <= 2 plus the full
-    carrier (all 2^n subsets with exhaustive=True, n <= 10).
+    For every parameter a and sampled subsets: the top projects to {a}
+    (``top_not_sent_to_parameter``); the projection lands in the segment
+    [bottom, a] (``image_escapes_segment``); projecting preserves the
+    lower-cover comparison (``leq2_not_preserved``). On orthomodular carriers
+    additionally: a' projects to {bottom} (``complement_not_annihilated``),
+    the segment is fixed pointwise (``segment_not_fixed``), and projecting is
+    idempotent (``not_idempotent``). The sample is all subsets of size <= 2
+    plus the full carrier (all 2^n subsets with exhaustive=True, n <= 10).
     """
     p = op.poset
     subsets = _sample_subsets(p, exhaustive)
@@ -121,45 +123,24 @@ def check_projection_laws(op: OpPoset, exhaustive: bool = False) -> PropertyRepo
     for a in range(p.n):
         seg = p.down[a]
         if sasaki_proj(op, a, p.top) != 1 << a:
-            return PropertyReport(
-                "projection_laws", False, Witness((a,), "top_not_sent_to_parameter")
-            )
+            return fail("projection_laws", (a,), "top_not_sent_to_parameter")
         images = [sasaki_proj_set(op, a, s) for s in subsets]
         for s, img in zip(subsets, images):
             if img & ~seg:
-                return PropertyReport(
-                    "projection_laws",
-                    False,
-                    Witness((a,), "image_escapes_segment", f"subset {p.names_of(s)}"),
-                )
+                return fail("projection_laws", (a,), "image_escapes_segment", f"subset {p.names_of(s)}")
         for sa, up_sa, img_a in zip(subsets, closures, images):
             up_img_a = p.up_closure(img_a)
             for sb, img_b in zip(subsets, images):
                 if not sb & ~up_sa and img_b & ~up_img_a:
-                    return PropertyReport(
-                        "projection_laws",
-                        False,
-                        Witness(
-                            (a,),
-                            "leq2_not_preserved",
-                            f"subsets {p.names_of(sa)} vs {p.names_of(sb)}",
-                        ),
-                    )
+                    detail = f"subsets {p.names_of(sa)} vs {p.names_of(sb)}"
+                    return fail("projection_laws", (a,), "leq2_not_preserved", detail)
         if omod:
             if sasaki_proj(op, a, op.prime[a]) != 1 << p.bottom:
-                return PropertyReport(
-                    "projection_laws", False, Witness((a,), "complement_not_annihilated")
-                )
+                return fail("projection_laws", (a,), "complement_not_annihilated")
             for x in iter_mask(seg):
                 if sasaki_proj(op, a, x) != 1 << x:
-                    return PropertyReport(
-                        "projection_laws", False, Witness((a, x), "segment_not_fixed")
-                    )
+                    return fail("projection_laws", (a, x), "segment_not_fixed")
             for s, img in zip(subsets, images):
                 if sasaki_proj_set(op, a, img) != img:
-                    return PropertyReport(
-                        "projection_laws",
-                        False,
-                        Witness((a,), "not_idempotent", f"subset {p.names_of(s)}"),
-                    )
+                    return fail("projection_laws", (a,), "not_idempotent", f"subset {p.names_of(s)}")
     return PropertyReport("projection_laws", True)

@@ -55,11 +55,16 @@ def _fixture_op(name: str) -> OpPoset:
     return document_to_op(load_fixture(name))
 
 
-@functools.cache
+_SWEEP: list[Instance] = []  # sweep_instances fills it once per process
+
+
 def sweep_instances(progress: Progress = None) -> list[Instance]:
     """Every bounded poset on <= 5 elements crossed with every
-    complementation that makes it orthogonal, with kernel flag bits. The
-    cache key includes ``progress``, which hears one line per n on a build."""
+    complementation that makes it orthogonal, with kernel flag bits. Built
+    once per process, whatever the argument; ``progress`` hears one line per
+    n on that build only."""
+    if _SWEEP:
+        return _SWEEP
     out = []
     for n in range(1, 6):
         posets = 0
@@ -76,7 +81,8 @@ def sweep_instances(progress: Progress = None) -> list[Instance]:
                 kept += 1
         if progress:
             progress(f"n={n}: {posets} bounded posets, {kept} orthogonal complemented instances")
-    return out
+    _SWEEP.extend(out)
+    return _SWEEP
 
 
 @functools.cache
@@ -247,8 +253,10 @@ def _criterion_8(progress: Progress) -> tuple[bool, str]:
     directions = kernels.FLAGS["a1"] | kernels.FLAGS["a2"]
     for p, prime, bits in complemented + arbitrary:
         # a map with neither direction has no consequence to check
-        if bits & directions and not check_adjointness_consequences(OpPoset(p, prime)).holds:
-            return False, f"consequence fails on n={p.n} prime={prime}"
+        if bits & directions:
+            rep = check_adjointness_consequences(OpPoset(p, prime))
+            if not rep.holds:
+                return False, f"consequence fails on n={p.n} prime={prime}: {rep.describe(p)}"
     return True, (
         f"{len(complemented)} complemented + {len(arbitrary)} arbitrary-map orthogonal instances"
     )
@@ -260,7 +268,7 @@ def _criterion_9(progress: Progress) -> tuple[bool, str]:
     for p, prime, bits in sweep_instances(progress):
         rep = check_projection_laws(OpPoset(p, prime))
         if not rep.holds:
-            return False, f"projection law fails on n={p.n} prime={prime}: {rep.witness.condition}"
+            return False, f"projection law fails on n={p.n} prime={prime}: {rep.describe(p)}"
         checked += 1
         if bits & kernels.FLAGS["orthomodular"]:
             omod += 1

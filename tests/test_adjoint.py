@@ -14,7 +14,7 @@ from orthoposet.adjoint import (
     find_o6_subalgebra,
     is_adjoint_pair,
 )
-from orthoposet import kernels, verify
+from orthoposet import adjoint, kernels, verify
 from orthoposet.enumeration import enumerate_posets
 from orthoposet.poset_core import OpPoset, PosetError
 from orthoposet.properties import is_lattice, is_orthogonal
@@ -171,6 +171,45 @@ def test_modular_corollary(m3, cube8, ex1, pentagon):
     # premise fails (not modular): implication is vacuously true
     assert check_modular_corollary(ex1).holds
     assert check_modular_corollary(pentagon).holds
+
+
+# "Adjoint only if ' is a complementation" and the modular corollary are
+# theorems, so no instance reaches the branches that report them broken: each
+# test substitutes the direction verdicts, the arrow table or the conditions
+# that the checker reads.
+
+
+@pytest.mark.parametrize("condition, prime, a1, a2, witness", [
+    # the identity on the 2-chain: 0 v 0' is not the top, 1 ^ 1' not the bottom
+    ("a1_join_not_top", (0, 1), True, False, (0,)),
+    ("a2_meet_not_bottom", (0, 1), False, True, (1,)),
+    # the swap is a complementation; the substituted arrow table has 1 (->) 0 = {1}
+    ("a2_arrow_top_not_le", (1, 0), False, True, (1, 0)),
+])
+def test_consequence_failures_name_their_condition(condition, prime, a1, a2, witness, monkeypatch):
+    op = two_chain(prime)
+    ocells, _ = adjoint._tables(op)
+    top_everywhere = ((1 << op.poset.top,) * 2,) * 2
+    monkeypatch.setattr(adjoint, "_tables", lambda op: (ocells, top_everywhere))
+    monkeypatch.setattr(adjoint, "check_directions", lambda op, cells: ((a1, None), (a2, None)))
+    rep = check_adjointness_consequences(op)
+    assert not rep.holds and rep.property == "adjointness_consequences"
+    assert rep.witness.condition == condition
+    assert rep.witness.elements == witness
+    assert set(rep.witness.elements) <= set(range(op.poset.n))
+
+
+@pytest.mark.parametrize("key", ["iii", "vi"])
+def test_modular_corollary_failure_names_the_condition(m3, key, monkeypatch):
+    real = adjoint.check_conditions
+    p = m3.poset
+    witness = (p.index("a"), p.index("b"))
+    monkeypatch.setattr(adjoint, "check_conditions", lambda op: {**real(op), key: (False, witness)})
+    rep = check_modular_corollary(m3)
+    assert not rep.holds and rep.property == "modular_corollary"
+    assert rep.witness.condition == f"condition_{key}_fails"
+    assert rep.witness.elements == witness
+    assert set(rep.witness.elements) <= set(range(p.n))
 
 
 def test_pentagon_is_complemented_orthogonal_but_not_adjoint(pentagon):

@@ -730,8 +730,8 @@ n=5: 380 bounded posets, 400 orthogonal complemented instances
 """
 
 
-def test_cli_verify_paper_sweep_output_pinned(capsys):
-    verify.sweep_instances.cache_clear()  # so this run builds the sweep
+def test_cli_verify_paper_sweep_output_pinned(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "_SWEEP", [])  # so this run builds the sweep
     assert main(["verify-paper", "--criteria", "6,7,8,9,10"]) == 0
     assert re.sub(r" \(\d+\.\d\ds\)", "", capsys.readouterr().out) == VERIFY_SWEEPS_STDOUT
 

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from orthoposet import naive
+from orthoposet import naive, sasaki
 from orthoposet.poset_core import (
     OpPoset,
     UndefinedOperationError,
     indices_of,
     iter_mask,
 )
-from orthoposet.properties import is_orthogonal
+from orthoposet.properties import is_orthogonal, is_orthomodular
 from orthoposet.sasaki import (
     arrow,
     check_projection_laws,
@@ -162,6 +162,56 @@ def test_projection_laws_exhaustive_small(m3, benzene):
 def test_projection_laws_exhaustive_cap(fig3):
     with pytest.raises(Exception, match="10"):
         check_projection_laws(fig3, exhaustive=True)
+
+
+# The projection laws are theorems on every orthogonal instance, so the
+# branches that report one broken are reached by substituting what the checker
+# reads: the projection (sasaki_proj) or its union over a subset
+# (sasaki_proj_set). The unsubstituted side is computed from odot directly.
+
+
+def _proj(op, a, x):
+    return odot(op, x, a)
+
+
+def _union(op, a, subset):
+    out = 0
+    for x in iter_mask(subset):
+        out |= odot(op, x, a)
+    return out
+
+
+def _bottom_then_a(op, a, subset):
+    # {bottom}, plus a when the subset holds the bottom: inside [bottom, a]
+    # and leq2-preserving (every image holds the bottom), but not idempotent
+    p = op.poset
+    return 1 << p.bottom | (1 << a if subset >> p.bottom & 1 else 0)
+
+
+LAW_FAULTS = {
+    "top_not_sent_to_parameter": (lambda op, a, x: 0, _union),
+    "image_escapes_segment": (_proj, lambda op, a, s: op.poset.full),
+    "leq2_not_preserved": (_proj, lambda op, a, s: 0 if s >> op.poset.bottom & 1 else _union(op, a, s)),
+    "complement_not_annihilated": (
+        lambda op, a, x: 1 << op.poset.top if x == op.prime[a] != op.poset.top else _proj(op, a, x),
+        _union,
+    ),
+    "segment_not_fixed": (lambda op, a, x: 0 if x == a != op.poset.top else _proj(op, a, x), _union),
+    "not_idempotent": (_proj, _bottom_then_a),
+}
+
+
+@pytest.mark.parametrize("condition", sorted(LAW_FAULTS))
+def test_projection_law_failures_name_their_condition(fig3, condition, monkeypatch):
+    assert is_orthomodular(fig3).holds  # so the last three laws are checked
+    assert check_projection_laws(fig3).holds
+    proj, proj_set = LAW_FAULTS[condition]
+    monkeypatch.setattr(sasaki, "sasaki_proj", proj)
+    monkeypatch.setattr(sasaki, "sasaki_proj_set", proj_set)
+    rep = check_projection_laws(fig3)
+    assert not rep.holds and rep.property == "projection_laws"
+    assert rep.witness.condition == condition
+    assert rep.witness.elements and set(rep.witness.elements) <= set(range(fig3.poset.n))
 
 
 # -- oracle cross-checks ------------------------------------------------------
