@@ -20,7 +20,6 @@ from .adjoint import (
 from .enumeration import (
     SEARCH_FLAGS,
     SearchGoal,
-    canonical_form,
     complement_candidates,
     enumerate_posets,
     enumerate_relations,

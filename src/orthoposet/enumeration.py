@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 from . import kernels
 from .adjoint import check_directions
-from .poset_core import OpPoset, Poset, PosetError, UndefinedOperationError, iter_mask
+from .poset_core import OpPoset, Poset, PosetError, UndefinedOperationError
 from .properties import PROPERTY_NAMES, is_lattice, is_modular, is_saturated, op_reports
 from .sasaki import op_tables
 
@@ -239,59 +239,3 @@ def search(goal: SearchGoal) -> Iterator[OpPoset]:
                 found += 1
                 if goal.limit is not None and found >= goal.limit:
                     return
-
-
-def canonical_form(p: Poset) -> tuple[int, ...]:
-    """Label-independent key: equal exactly for isomorphic posets.
-
-    Iterated degree/level refinement narrows the permutation classes, then
-    the minimal relabeled row tuple over class-respecting permutations is
-    taken. The key is itself a relabeled copy of the order, so equal keys
-    imply isomorphism; refinement invariance gives the converse.
-    """
-    n = p.n
-    strict_up = [p.up[i] & ~(1 << i) for i in range(n)]
-    strict_down = [p.down[i] & ~(1 << i) for i in range(n)]
-    ranks = _rank(
-        [(bin(p.down[i]).count("1"), bin(p.up[i]).count("1")) for i in range(n)]
-    )
-    for _ in range(n):
-        sig = [
-            (
-                ranks[i],
-                tuple(sorted(ranks[j] for j in iter_mask(strict_down[i]))),
-                tuple(sorted(ranks[j] for j in iter_mask(strict_up[i]))),
-            )
-            for i in range(n)
-        ]
-        new = _rank(sig)
-        if new == ranks:
-            break
-        ranks = new
-    classes: dict[int, list[int]] = {}
-    for i in range(n):
-        classes.setdefault(ranks[i], []).append(i)
-    ordered_classes = [classes[r] for r in sorted(classes)]
-    best = None
-    for combo in itertools.product(
-        *(itertools.permutations(c) for c in ordered_classes)
-    ):
-        order = [el for group in combo for el in group]
-        perm = [0] * n
-        for pos, el in enumerate(order):
-            perm[el] = pos
-        rows = [0] * n
-        for i in range(n):
-            row = 0
-            for j in iter_mask(p.up[i]):
-                row |= 1 << perm[j]
-            rows[perm[i]] = row
-        key = tuple(rows)
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def _rank(values) -> list[int]:
-    order = {v: k for k, v in enumerate(sorted(set(values)))}
-    return [order[v] for v in values]

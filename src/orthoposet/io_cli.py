@@ -340,7 +340,7 @@ def _load_op(path: str) -> OpPoset:
 def _cmd_check(args) -> int:
     doc = _load_for_cli(args.file)
     p, _, reports = _profile(doc)
-    wanted = args.props.split(",") if args.props else list(reports)
+    wanted = args.props.split(",") if args.props is not None else list(reports)
     for prop in wanted:
         if prop not in PROPERTY_NAMES:
             raise PosetError(f"unknown property {prop!r} (choose from {', '.join(PROPERTY_NAMES)})")
@@ -417,7 +417,7 @@ def _cmd_proj(args) -> int:
     op = _load_op(args.file)
     p = op.poset
     a = p.index(args.a)
-    xs = [p.index(args.x)] if args.x else range(p.n)
+    xs = [p.index(args.x)] if args.x is not None else range(p.n)
     lines = [
         f"x={p.names[x]}: projection {_cell_text(p, sasaki_proj(op, a, x))}"
         f"  dual {_cell_text(p, sasaki_proj_dual(op, a, x))}"
@@ -428,8 +428,8 @@ def _cmd_proj(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    require = frozenset(args.require.split(",")) if args.require else frozenset()
-    forbid = frozenset(args.forbid.split(",")) if args.forbid else frozenset()
+    require = frozenset(args.require.split(",")) if args.require is not None else frozenset()
+    forbid = frozenset(args.forbid.split(",")) if args.forbid is not None else frozenset()
     goal = SearchGoal(
         require=require, forbid=forbid, max_n=args.max_n, limit=args.limit, seed=args.seed
     )
@@ -461,7 +461,7 @@ def _cmd_dot(args) -> int:
 
 def _cmd_verify_paper(args) -> int:
     numbers = None
-    if args.criteria:
+    if args.criteria is not None:
         tokens = args.criteria.split(",")
         known = {num for num, _, _, _ in verify.CRITERIA}
         bad = [tok for tok in tokens if not (tok.strip().isdecimal() and int(tok) in known)]

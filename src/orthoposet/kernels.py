@@ -206,20 +206,14 @@ def relation_codes(n: int) -> list[int]:
     The orientation code of a relation has one base-3 digit per pair i < j,
     the pairs taken lexicographically from the least significant digit:
     0 when i and j are incomparable, 1 when i < j, 2 when j < i.
+
+    Element 0 goes into every poset on 1..n-1 (in that poset's order) above
+    a down-set D and below an up-set U, with D entirely below U. The pairs
+    (0, j) give the low digits, so the extensions of one poset are sorted by
+    sum(3^j for j in U) + sum(2 * 3^j for j in D), j in base numbering.
     """
     if not (1 <= n <= MAX_RELATION_N):
         raise PosetError(f"relation enumeration supports 1 <= n <= {MAX_RELATION_N}")
-    return _relation_codes(n)
-
-
-def _relation_codes(n: int) -> list[int]:
-    """Element 0 added to every poset on 1..n-1 (in that poset's order).
-
-    The new element goes above a down-set D and below an up-set U, with D
-    entirely below U. The digits of the pairs (0, j) are the low digits of
-    the orientation code, so the extensions of one poset are sorted by
-    sum(3^j for j in U) + sum(2 * 3^j for j in D), j in base numbering.
-    """
     if n == 1:
         return [1]
     m = n - 1
@@ -231,7 +225,7 @@ def _relation_codes(n: int) -> list[int]:
         pow3[s] = pow3[s & (s - 1)] + 3 ** j
         column[s] = column[s & (s - 1)] | 1 << ((j + 1) * n)
     out = []
-    for base in _relation_codes(m):
+    for base in relation_codes(m):
         rows = decode_relation(base, m)
         shifted = 0
         for k, row in enumerate(rows):

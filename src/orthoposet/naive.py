@@ -11,8 +11,6 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Optional
 
-Rel = frozenset  # of (int, int) pairs
-
 
 def relation_pairs(up_rows: Iterable[int]) -> frozenset[tuple[int, int]]:
     """Convert up-row masks to an explicit pair set (boundary helper only)."""
@@ -151,13 +149,3 @@ def count_posets_subsets(n: int) -> int:
         if anti and _is_transitive(rel, n):
             count += 1
     return count
-
-
-def canonical_key(rel, n: int) -> tuple:
-    """Minimum relabeling over all n! permutations; a perfect iso invariant."""
-    best = None
-    for perm in itertools.permutations(range(n)):
-        key = tuple(sorted((perm[i], perm[j]) for (i, j) in rel))
-        if best is None or key < best:
-            best = key
-    return best

@@ -238,13 +238,14 @@ class Poset:
     def join_table(self) -> tuple[tuple[Optional[int], ...], ...]:
         """``join_table[x][y]`` is the join of x and y, or None."""
         if self._joins is None:
-            self._joins = _bound_table(self.up)
+            # the join is the one element whose up-set is all of U(x, y); dually the meet
+            self._joins = pair_table(self.up, {row: i for i, row in enumerate(self.up)}.get)
         return self._joins
 
     @property
     def meet_table(self) -> tuple[tuple[Optional[int], ...], ...]:
         if self._meets is None:
-            self._meets = _bound_table(self.down)
+            self._meets = pair_table(self.down, {row: i for i, row in enumerate(self.down)}.get)
         return self._meets
 
     @property
@@ -295,17 +296,7 @@ class Poset:
         return f"Poset({len(self.names)} elements: {', '.join(self.names)})"
 
 
-def _bound_table(rows: tuple[int, ...]) -> tuple[tuple[Optional[int], ...], ...]:
-    """Per pair x, y: the element whose row is ``rows[x] & rows[y]``, or None.
-
-    On up rows this is the join: the least element of U(x, y) is the one
-    element whose up-set is all of U(x, y). On down rows it is the meet.
-    """
-    index = {row: i for i, row in enumerate(rows)}
-    return tuple(tuple(index.get(a & b) for b in rows) for a in rows)
-
-
-def pair_table(rows: tuple[int, ...], fn) -> tuple[tuple[int, ...], ...]:
+def pair_table(rows: tuple[int, ...], fn) -> tuple[tuple, ...]:
     """Per pair x, y: ``fn(rows[x] & rows[y])``, computed once per distinct set."""
     found = {c: fn(c) for c in {a & b for a in rows for b in rows}}
     return tuple(tuple(found[a & b] for b in rows) for a in rows)

@@ -8,7 +8,6 @@ from orthoposet import enumeration, kernels, naive, properties
 from orthoposet.enumeration import (
     SEARCH_FLAGS,
     SearchGoal,
-    canonical_form,
     complement_candidates,
     enumerate_posets,
     enumerate_relations,
@@ -27,7 +26,6 @@ from orthoposet.properties import (
     poset_reports,
 )
 
-from conftest import relabeled
 
 POSET_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219}
 
@@ -175,62 +173,6 @@ def test_complement_candidates_match_the_table_reference():
     for n in range(1, 7):
         for p in enumerate_posets(n):
             assert complement_candidates(p) == _complements_from_tables(p), (p.up,)
-
-
-# -- canonical form -----------------------------------------------------------
-
-
-def test_canonical_form_on_chain_labelings():
-    keys = set()
-    for names in itertools.permutations(("x", "y", "z")):
-        covers = [(names.index("x"), names.index("y")), (names.index("y"), names.index("z"))]
-        keys.add(canonical_form(Poset.from_covers(names, covers)))
-    assert len(keys) == 1
-
-
-def test_canonical_form_separates_non_isomorphic():
-    chain = Poset.from_covers(("a", "b", "c"), [(0, 1), (1, 2)])
-    bounded_antichain = Poset.from_covers(
-        ("0", "x", "y", "1"), [(0, 1), (0, 2), (1, 3), (2, 3)]
-    )
-    assert canonical_form(chain) != canonical_form(bounded_antichain)
-
-
-def test_canonical_form_invariant_under_all_relabelings(ex1):
-    p = ex1.poset
-    base = canonical_form(p)
-    for perm in itertools.permutations(range(p.n)):
-        assert canonical_form(relabeled(p, perm)) == base
-
-
-def test_canonical_partition_matches_permutation_oracle():
-    for n in range(1, 5):
-        by_fast = {}
-        by_oracle = {}
-        for rows in enumerate_relations(n):
-            # relations need not be bounded; key both representations directly
-            fast = _fast_key(rows, n)
-            slow = naive.canonical_key(naive.relation_pairs(rows), n)
-            by_fast.setdefault(fast, set()).add(rows)
-            by_oracle.setdefault(slow, set()).add(rows)
-        assert sorted(map(sorted, by_fast.values())) == sorted(
-            map(sorted, by_oracle.values())
-        )
-
-
-def _fast_key(rows, n):
-    # canonical_form needs a bounded Poset; embed the raw relation between a
-    # fresh bottom and top, which preserves and reflects isomorphism
-    names = tuple(f"e{i}" for i in range(n)) + ("_bot", "_top")
-    covers = [(n, i) for i in range(n)] + [(i, n + 1) for i in range(n)]
-    covers += [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j and (rows[i] >> j) & 1
-    ]
-    covers += [(n, n + 1)]
-    return canonical_form(Poset.from_covers(names, covers))
 
 
 # -- search -------------------------------------------------------------------

@@ -549,6 +549,28 @@ def test_cli_check_unknown_property(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify-paper", "--criteria", ""],
+        ["check", "FILE", "--props", ""],
+        ["proj", "FILE", "--a", "a", "--x", ""],
+        ["search", "--require", ""],
+        ["search", "--forbid", ""],
+    ],
+    ids=lambda c: f"{c[0]}{c[-2]}",
+)
+def test_cli_empty_option_value_is_refused(tmp_path, capsys, command):
+    # an empty value names nothing, so it is refused like any unknown name,
+    # not read as the option's absence
+    path = fixture_path(tmp_path, "ex1.poset")
+    assert main([path if arg == "FILE" else arg for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "''" in captured.err
+
+
 def test_cli_check_op_property_needs_prime(tmp_path, capsys):
     path = tmp_path / "bare.poset"
     path.write_text("poset bare\nelements 0 1\ncovers 0<1\n")

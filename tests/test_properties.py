@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from orthoposet import verify
+from orthoposet import kernels, verify
 from orthoposet.enumeration import enumerate_posets
 from orthoposet.poset_core import OpPoset, Poset
 from orthoposet.properties import (
@@ -18,6 +18,7 @@ from orthoposet.properties import (
     is_saturated,
     op_reports,
 )
+from orthoposet.sasaki import is_sasaki_total
 
 from conftest import two_chain
 
@@ -167,6 +168,53 @@ def test_orthomodular_cases(fig3, ex1, benzene):
     x, z = rep.witness.elements
     j1 = p.join(benzene.prime[z], x)
     assert p.join(x, benzene.prime[j1]) == x != z
+
+
+def _wright_triangle(coatoms: str) -> OpPoset:
+    """The 14-element pasting of the Boolean blocks {a,b,c}, {c,d,e} and
+    {e,f,a}, with ' swapping each atom and its coatom, and 0 and 1. The
+    coatoms are listed in the given order; y' is above x when x != y share a block."""
+    names = ("0", *"abcdef", *(c + "'" for c in coatoms), "1")
+    index = {name: i for i, name in enumerate(names)}
+    blocks = ("abc", "cde", "efa")
+    covers = [(0, index[x]) for x in "abcdef"] + [(index[y + "'"], 13) for y in "abcdef"]
+    covers += {
+        (index[x], index[y + "'"]) for block in blocks for x in block for y in block if x != y
+    }
+    prime = {"0": "1", "1": "0", **{x: x + "'" for x in "abcdef"}, **{x + "'": x for x in "abcdef"}}
+    return OpPoset(Poset.from_covers(names, covers), [index[prime[name]] for name in names])
+
+
+@pytest.mark.parametrize(
+    "coatoms, witness, condition",
+    [
+        ("abcdef", ("a", "b'"), "law_join_undefined"),
+        ("cabdef", ("a", "c'"), "complement_join_undefined"),
+    ],
+)
+def test_orthomodular_undefined_joins_on_the_wright_triangle(coatoms, witness, condition):
+    # an antitone involutive complementation on a non-lattice: b v a = c' but
+    # a v c has the two minimal upper bounds b' and e', as does c v a
+    op = _wright_triangle(coatoms)
+    p = op.poset
+    rep = is_orthomodular(op)
+    assert not rep.holds
+    assert rep.witness.elements == tuple(map(p.index, witness))
+    assert rep.witness.condition == condition
+    bits = kernels.instance_flags(kernels.pack_poset(p), op.prime)
+    core = {
+        "orthogonal": is_orthogonal(op).holds,
+        "total": is_sasaki_total(op),
+        "complemented": is_complementation(op).holds,
+        "antitone": is_antitone(op).holds,
+        "involution": is_involution(op).holds,
+        "orthomodular": rep.holds,
+    }
+    assert {name: bool(bits & kernels.FLAGS[name]) for name in core} == core
+    assert core == dict(
+        orthogonal=False, total=False, complemented=True,
+        antitone=True, involution=True, orthomodular=False,
+    )
 
 
 def test_orthomodular_implies_orthogonal_on_small_carriers():
