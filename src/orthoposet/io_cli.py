@@ -340,7 +340,7 @@ def _load_op(path: str) -> OpPoset:
 def _cmd_check(args) -> int:
     doc = _load_for_cli(args.file)
     p, _, reports = _profile(doc)
-    wanted = args.props.split(",") if args.props is not None else list(reports)
+    wanted = list(dict.fromkeys(args.props.split(","))) if args.props is not None else list(reports)
     for prop in wanted:
         if prop not in PROPERTY_NAMES:
             raise PosetError(f"unknown property {prop!r} (choose from {', '.join(PROPERTY_NAMES)})")

@@ -2,9 +2,9 @@
 
 Everything here works on a relation given as a plain set of (i, j) pairs
 ("i <= j") and represents subsets as sorted tuples — no bitmasks, no
-precomputed rows. Deliberately slow and literal: these are the oracle side
-of the dual-route checks, so they must not share machinery with the
-optimized implementations.
+precomputed rows, no import from the package. Literal, not fast: these are
+the oracle side of the dual-route checks, so they must not share machinery
+with the optimized implementations.
 """
 from __future__ import annotations
 
@@ -109,23 +109,36 @@ def _is_transitive(rel, n: int) -> bool:
     return True
 
 
-def count_posets_orientations(n: int) -> int:
-    """Count labeled posets by enumerating every antisymmetric reflexive
-    relation (one of three states per unordered pair) and filtering by the
-    transitivity definition."""
+def _triples_due(n: int):
+    """The pairs of ``combinations(range(n), 2)``, and per pair the ordered
+    triples of distinct elements whose latest pair it is."""
     pairs = list(itertools.combinations(range(n), 2))
-    diag = [(i, i) for i in range(n)]
-    count = 0
-    for states in itertools.product((0, 1, 2), repeat=len(pairs)):
-        rel = set(diag)
-        for (i, j), s in zip(pairs, states):
-            if s == 1:
-                rel.add((i, j))
-            elif s == 2:
-                rel.add((j, i))
-        if _is_transitive(rel, n):
-            count += 1
-    return count
+    due = [[] for _ in pairs]
+    for t in itertools.permutations(range(n), 3):
+        due[max(pairs.index(tuple(sorted(p))) for p in itertools.combinations(t, 2))].append(t)
+    return pairs, due
+
+
+def count_posets_orientations(n: int) -> int:
+    """Count labeled posets: decide the pairs in order, one of three states
+    each, and test each triple (x, y), (y, z) => (x, z) of distinct elements
+    once, when its latest pair is decided. It reads only its own three pairs,
+    so a partial relation failing it has no transitive completion; triples with
+    a repeated element hold by reflexivity and antisymmetry. So the leaves
+    reached are exactly the relations the full filter keeps."""
+    pairs, due = _triples_due(n)
+
+    def extend(k: int, rel: set) -> int:
+        if k == len(pairs):
+            return 1
+        i, j = pairs[k]
+        return sum(
+            extend(k + 1, grown)
+            for grown in (rel, rel | {(i, j)}, rel | {(j, i)})
+            if all((x, z) in grown for x, y, z in due[k] if (x, y) in grown and (y, z) in grown)
+        )
+
+    return extend(0, {(i, i) for i in range(n)})
 
 
 def count_posets_subsets(n: int) -> int:

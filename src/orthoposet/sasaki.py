@@ -28,11 +28,12 @@ class OpTable:
 
 
 def odot(op: OpPoset, x: int, y: int) -> int:
-    """x (.) y as a mask, over Min U(x, y') from ``Poset.min_upper``; raises on a missing meet."""
+    """x (.) y as a mask: row y of ``meet_table`` over Min U(x, y'); raises on a missing meet."""
     p = op.poset
+    meet_y = p.meet_table[y]
     out = 0
     for m in iter_mask(p.min_upper[x][op.prime[y]]):
-        w = p.meet(m, y)
+        w = meet_y[m]
         if w is None:
             raise UndefinedOperationError("meet", m, y, p)
         out |= 1 << w
@@ -40,12 +41,13 @@ def odot(op: OpPoset, x: int, y: int) -> int:
 
 
 def arrow(op: OpPoset, x: int, y: int) -> int:
-    """x (->) y as a mask, over Max L(x, y) from ``Poset.max_lower``; raises on a missing join."""
+    """x (->) y as a mask: row x' of ``join_table`` over Max L(x, y); raises on a missing join."""
     p = op.poset
     px = op.prime[x]
+    join_px = p.join_table[px]
     out = 0
     for m in iter_mask(p.max_lower[x][y]):
-        w = p.join(px, m)
+        w = join_px[m]
         if w is None:
             raise UndefinedOperationError("join", px, m, p)
         out |= 1 << w

@@ -39,6 +39,25 @@ def test_relation_counts_match_both_oracles():
         assert naive.count_posets_subsets(n) == expected
 
 
+def test_orientation_oracle_counts_every_relation_code():
+    for n in range(1, 6):
+        assert naive.count_posets_orientations(n) == len(kernels.relation_codes(n))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_orientation_oracle_tests_each_triple_once_at_its_latest_pair(n):
+    # pruning counts exactly the transitive relations only if every triple of
+    # distinct elements is tested once, as soon as all three of its pairs are set
+    pairs, due = naive._triples_due(n)
+    assert pairs == list(itertools.combinations(range(n), 2))
+    scheduled = [t for step in due for t in step]
+    assert sorted(scheduled) == sorted(itertools.permutations(range(n), 3))
+    for k, step in enumerate(due):
+        for x, y, z in step:
+            latest = max(pairs.index((min(a, b), max(a, b))) for a, b in ((x, y), (y, z), (x, z)))
+            assert latest == k
+
+
 def test_relations_are_valid_partial_orders():
     for n in range(1, 5):
         for rows in enumerate_relations(n):

@@ -549,6 +549,17 @@ def test_cli_check_unknown_property(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_check_repeated_property_prints_once(tmp_path, capsys):
+    # repeated names are read once, in the order given, as --criteria reads them
+    path = fixture_path(tmp_path, "m3.poset")
+    assert main(["check", path, "--props", "lattice,lattice"]) == 0
+    assert capsys.readouterr().out == "lattice: true\n"
+    assert main(["check", path, "--props", "involution,lattice,involution"]) == 1
+    assert capsys.readouterr().out == (
+        "involution: false  [witness (a): double_image_differs]\nlattice: true\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command",
     [
