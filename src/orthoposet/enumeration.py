@@ -21,6 +21,9 @@ from .sasaki import op_tables
 
 MAX_BOUNDED_N = 8
 
+# Maps drawn per poset with n >= 5 when the goal leaves "complemented" out.
+MAP_SAMPLES = 512
+
 SEARCH_FLAGS = PROPERTY_NAMES + ("total", "a1", "a2", "adjoint")
 
 
@@ -93,7 +96,6 @@ class SearchGoal:
     max_n: int = 5
     limit: Optional[int] = None
     seed: int = 0
-    map_samples: int = 512
 
     def __post_init__(self):
         req = frozenset(self.require)
@@ -134,16 +136,6 @@ def instance_flag_map(op: OpPoset) -> dict[str, bool]:
     return flags
 
 
-# The kernel bits that are search flags: every bit but the six conditions.
-_KERNEL_SEARCH_FLAGS = [(name, bit) for name, bit in kernels.FLAGS.items() if name in SEARCH_FLAGS]
-
-
-def _kernel_flag_map(poset_flags: dict[str, bool], bits: int) -> dict[str, bool]:
-    flags = {**poset_flags, **{name: bool(bits & flag) for name, flag in _KERNEL_SEARCH_FLAGS}}
-    flags["adjoint"] = flags["a1"] and flags["a2"]
-    return flags
-
-
 def complementations(index: int, p: Poset) -> Iterator[tuple[int, ...]]:
     """Map source for ``sweep``: every complementation of p, each element
     sent to one of its complements."""
@@ -155,14 +147,15 @@ def all_maps(index: int, p: Poset) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(p.n), repeat=p.n)
 
 
-def sweep(n: int, maps) -> Iterator[tuple[int, Poset, tuple[int, ...], int]]:
+def sweep(posets, maps) -> Iterator[tuple[int, Poset, tuple[int, ...], int]]:
     """``(index, poset, prime, flag bits)`` for every ``prime`` in
-    ``maps(index, poset)`` over ``enumerate(enumerate_posets(n))``.
+    ``maps(index, poset)`` over ``enumerate(posets)``, for any iterable of
+    bounded posets.
 
     A poset is packed only when its first map arrives, so a source that
     yields nothing for a poset costs no join/meet tables.
     """
-    for index, p in enumerate(enumerate_posets(n)):
+    for index, p in enumerate(posets):
         packed = None
         for prime in maps(index, p):
             if packed is None:
@@ -177,7 +170,7 @@ def _sampled_maps(goal: SearchGoal, index: int, p: Poset) -> Iterator[tuple[int,
         return
     rng = random.Random(f"{goal.seed}:{p.n}:{index}")
     seen = set()
-    budget = min(p.n ** p.n, goal.map_samples)
+    budget = min(p.n ** p.n, MAP_SAMPLES)
     while len(seen) < budget:
         prime = tuple(rng.randrange(p.n) for _ in range(p.n))
         if prime not in seen:
@@ -185,18 +178,21 @@ def _sampled_maps(goal: SearchGoal, index: int, p: Poset) -> Iterator[tuple[int,
             yield prime
 
 
-def _goal_maps(goal: SearchGoal, n: int, poset_flags: dict[str, bool]):
-    """The map source of ``search`` on carriers of size n.
+def _goal_maps(goal: SearchGoal):
+    """The map source of ``search``, built once per carrier size so that each
+    size's verdicts are freed with it.
 
-    A poset passes when the deciders named in ``poset_flags`` give its values
-    and, if the goal requires "complemented", every element has a complement;
-    it then gets its complementations, or else ``_sampled_maps``. The verdict
-    is an isomorphism invariant, decided on the first copy of each frame that
-    ``enumerate_posets(n)`` yields and kept under the frame the copy records
+    A poset passes when the deciders of the goal's poset-level flags
+    (saturated, modular, lattice) give the values the goal asks for and, if
+    the goal requires "complemented", every element has a complement; it then
+    gets its complementations, or else ``_sampled_maps``. The verdict is an
+    isomorphism invariant, decided on the first copy of each frame that
+    ``enumerate_posets`` yields and kept under the frame the copy records
     (the one poset at n = 1 has no frame and is its own key).
     """
     # looked up when the source is built, so a rebound module-global decider is the one run
     deciders = {"saturated": is_saturated, "modular": is_modular, "lattice": is_lattice}
+    wanted = {f: f in goal.require for f in deciders if f in goal.require | goal.forbid}
     complemented = "complemented" in goal.require
     verdicts = {}
 
@@ -204,7 +200,7 @@ def _goal_maps(goal: SearchGoal, n: int, poset_flags: dict[str, bool]):
         frame = p.frame or p
         verdict = verdicts.get(frame)
         if verdict is None:
-            verdict = all(deciders[f](p).holds == want for f, want in poset_flags.items())
+            verdict = all(deciders[f](p).holds == want for f, want in wanted.items())
             verdicts[frame] = verdict
         if not verdict:
             return ()
@@ -225,16 +221,22 @@ def search(goal: SearchGoal) -> Iterator[OpPoset]:
     Flags a1/a2/adjoint are False wherever the operations are not total
     (nothing to be adjoint about). The maps are ``_goal_maps``: every
     complementation when the goal requires "complemented", otherwise all maps
-    for n <= 4 and a seeded sample per poset above that.
+    for n <= 4 and ``MAP_SAMPLES`` seeded ones per poset above that.
+
+    ``_goal_maps`` settles the poset-level flags. The kernel flags become bit
+    masks once: ``need`` for the required ones ("adjoint" is a1|a2) and one
+    per forbidden one; a map matches when its bits hold ``need`` and no
+    forbidden mask in full.
     """
+    masks = {**kernels.FLAGS, "adjoint": kernels.FLAGS["a1"] | kernels.FLAGS["a2"]}
+    need = 0
+    for f in goal.require & masks.keys():
+        need |= masks[f]
+    forbidden = [masks[f] for f in goal.forbid & masks.keys()]
     found = 0
-    # every poset that passes has exactly these poset-level flags
-    named = goal.require | goal.forbid
-    poset_flags = {f: f in goal.require for f in ("saturated", "modular", "lattice") if f in named}
     for n in range(1, goal.max_n + 1):
-        for _, p, prime, bits in sweep(n, _goal_maps(goal, n, poset_flags)):
-            flags = _kernel_flag_map(poset_flags, bits)
-            if all(flags[f] for f in goal.require) and not any(flags[f] for f in goal.forbid):
+        for _, p, prime, bits in sweep(enumerate_posets(n), _goal_maps(goal)):
+            if bits & need == need and all(bits & mask != mask for mask in forbidden):
                 yield OpPoset(p, prime)
                 found += 1
                 if goal.limit is not None and found >= goal.limit:

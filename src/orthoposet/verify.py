@@ -8,7 +8,8 @@ enumeration counts. Exposed through the `verify-paper` CLI subcommand and
 mirrored one-to-one by tests/test_acceptance.py.
 
 Criteria 6-10 read ``(poset, prime, flag bits)`` tuples from two memoized
-runs of ``enumeration.sweep``: the orthogonal complementations on n <= 5
+runs of ``enumeration.sweep`` over ``_bounded_pool``, which enumerates each
+n <= 5 once per process: the orthogonal complementations on n <= 5
 (``sweep_instances``) and every unary map on n <= 4 (``all_map_instances``).
 """
 from __future__ import annotations
@@ -55,6 +56,11 @@ def _fixture_op(name: str) -> OpPoset:
     return document_to_op(load_fixture(name))
 
 
+@functools.cache
+def _bounded_pool() -> dict[int, list[Poset]]:
+    return {n: list(enumerate_posets(n)) for n in range(1, 6)}
+
+
 _SWEEP: list[Instance] = []  # sweep_instances fills it once per process
 
 
@@ -65,22 +71,16 @@ def sweep_instances(progress: Progress = None) -> list[Instance]:
     n on that build only."""
     if _SWEEP:
         return _SWEEP
+    pool = _bounded_pool()
     out = []
     for n in range(1, 6):
-        posets = 0
-
-        def maps(index: int, p: Poset):
-            nonlocal posets
-            posets = index + 1
-            return complementations(index, p)
-
         kept = 0
-        for _, p, prime, bits in sweep(n, maps):
+        for _, p, prime, bits in sweep(pool[n], complementations):
             if bits & kernels.FLAG_ORTHOGONAL:
                 out.append((p, prime, bits))
                 kept += 1
         if progress:
-            progress(f"n={n}: {posets} bounded posets, {kept} orthogonal complemented instances")
+            progress(f"n={n}: {len(pool[n])} bounded posets, {kept} orthogonal complemented instances")
     _SWEEP.extend(out)
     return _SWEEP
 
@@ -88,12 +88,8 @@ def sweep_instances(progress: Progress = None) -> list[Instance]:
 @functools.cache
 def all_map_instances() -> list[Instance]:
     """Every bounded poset on <= 4 elements crossed with every unary map."""
-    return [(p, prime, bits) for n in range(1, 5) for _, p, prime, bits in sweep(n, all_maps)]
-
-
-@functools.cache
-def _bounded_pool() -> dict[int, list[Poset]]:
-    return {n: list(enumerate_posets(n)) for n in range(1, 6)}
+    pool = _bounded_pool()
+    return [(p, prime, bits) for n in range(1, 5) for _, p, prime, bits in sweep(pool[n], all_maps)]
 
 
 # ---------------------------------------------------------------------------

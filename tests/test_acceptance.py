@@ -2,7 +2,7 @@
 tolerance (exact comparisons throughout; the fixture criteria also carry
 wall-clock limits) and prints one pass/fail line per criterion. Also checks
 that a failing checker's witness reaches its criterion's detail, and that one
-process builds the n <= 5 sweep once."""
+process builds the n <= 5 sweep once and enumerates each carrier once."""
 import subprocess
 import sys
 
@@ -46,7 +46,7 @@ from orthoposet import verify
 
 builds = []
 real = verify.sweep
-verify.sweep = lambda n, maps: builds.append(n) or real(n, maps)
+verify.sweep = lambda posets, maps: builds.append(len(posets)) or real(posets, maps)
 lines = []
 verify.sweep_instances(lines.append)
 verify.sweep_instances()
@@ -60,4 +60,22 @@ print(builds, len(lines))
 def test_sweep_instances_built_once_per_process():
     # a fresh interpreter, so no earlier test has built the sweep
     out = subprocess.run([sys.executable, "-c", BUILDS], capture_output=True, text=True, check=True).stdout
-    assert out == "[1, 2, 3, 4, 5] 5\n"
+    assert out == "[1, 2, 6, 36, 380] 5\n"
+
+
+ENUMERATIONS = """
+from orthoposet import enumeration, verify
+
+calls = []
+real = enumeration.enumerate_posets
+enumeration.enumerate_posets = verify.enumerate_posets = lambda n: calls.append(n) or real(n)
+assert all(r.passed for r in verify.run_all())
+print(calls)
+"""
+
+
+def test_verify_enumerates_each_carrier_once_per_process():
+    # the sweeps and criterion 11 all read the one pool of bounded posets;
+    # both modules' names are counted, so no sweep enumerates on its own
+    out = subprocess.run([sys.executable, "-c", ENUMERATIONS], capture_output=True, text=True, check=True).stdout
+    assert out == "[1, 2, 3, 4, 5]\n"

@@ -264,13 +264,13 @@ def test_sweep_packs_a_poset_only_when_its_first_map_arrives(monkeypatch):
 
     pack_poset = kernels.pack_poset
     monkeypatch.setattr(kernels, "pack_poset", counting_pack)
-    rows = list(enumeration.sweep(5, enumeration.complementations))
+    rows = list(enumeration.sweep(enumerate_posets(5), enumeration.complementations))
     assert packed == [p for p in enumerate_posets(5) if all(complement_candidates(p))]
     assert len(packed) == 140 and len(rows) == 400
     # only packing is counted here, so the flags of the 380 * 5**5 maps are not computed
     monkeypatch.setattr(kernels, "instance_flags", lambda packed, prime: 0)
     packed.clear()
-    assert sum(1 for _ in enumeration.sweep(5, enumeration.all_maps)) == 380 * 5**5
+    assert sum(1 for _ in enumeration.sweep(enumerate_posets(5), enumeration.all_maps)) == 380 * 5**5
     assert len(packed) == 380
 
 
@@ -301,10 +301,9 @@ def test_search_is_deterministic():
     assert first == second
 
 
-def test_search_sampling_path_is_seeded():
-    goal = SearchGoal(
-        require=frozenset({"involution"}), max_n=5, limit=4, seed=9, map_samples=64
-    )
+def test_search_sampling_path_is_seeded(monkeypatch):
+    monkeypatch.setattr(enumeration, "MAP_SAMPLES", 64)
+    goal = SearchGoal(require=frozenset({"involution"}), max_n=5, limit=4, seed=9)
     first = [(op.poset.up, op.prime) for op in search(goal)]
     second = [(op.poset.up, op.prime) for op in search(goal)]
     assert first == second and len(first) == 4
@@ -345,14 +344,16 @@ def _brute_force_hits(goal):
                 maps = enumeration._sampled_maps(goal, idx, p)
             packed = kernels.pack_poset(p)
             for prime in maps:
-                flags = enumeration._kernel_flag_map(poset_flags, kernels.instance_flags(packed, prime))
+                bits = kernels.instance_flags(packed, prime)
+                flags = {**poset_flags, **{name: bool(bits & flag) for name, flag in kernels.FLAGS.items()}}
+                flags["adjoint"] = flags["a1"] and flags["a2"]
                 if all(flags[f] for f in goal.require) and not any(flags[f] for f in goal.forbid):
                     hits.append((p.up, prime))
     return hits
 
 
-# every bounded poset on five or fewer elements is a lattice, so forbidding
-# lattice needs n = 6 to find anything
+# every bounded poset on five or fewer elements is a lattice and every map on
+# one is total, so forbidding lattice or total needs n = 6 to find anything
 @pytest.mark.parametrize(
     "require, forbid, max_n",
     [
@@ -364,10 +365,15 @@ def _brute_force_hits(goal):
         (set(), {"lattice"}, 6),
         ({"complemented"}, set(), 5),
         ({"modular", "complemented"}, {"orthomodular"}, 5),
+        ({"adjoint"}, set(), 5),
+        ({"total"}, {"adjoint"}, 5),
+        ({"a2"}, {"a1"}, 5),
+        (set(), {"total"}, 6),
     ],
 )
-def test_search_matches_brute_force_filter(require, forbid, max_n):
-    goal = SearchGoal(require=frozenset(require), forbid=frozenset(forbid), max_n=max_n, map_samples=2)
+def test_search_matches_brute_force_filter(require, forbid, max_n, monkeypatch):
+    monkeypatch.setattr(enumeration, "MAP_SAMPLES", 2)
+    goal = SearchGoal(require=frozenset(require), forbid=frozenset(forbid), max_n=max_n)
     got = [(op.poset.up, op.prime) for op in search(goal)]
     assert got == _brute_force_hits(goal)
     # saturated holds on every finite poset, so only forbidding it finds nothing

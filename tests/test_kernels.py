@@ -78,7 +78,9 @@ def test_flags_on_fixtures_match_core(fixture_ops, butterfly):
 
 
 def test_flags_pinned_on_every_map_up_to_n4():
-    rows = [(p.up, prime, bits) for n in range(1, 5) for _, p, prime, bits in sweep(n, all_maps)]
+    rows = [
+        (p.up, prime, bits) for n in range(1, 5) for _, p, prime, bits in sweep(enumerate_posets(n), all_maps)
+    ]
     assert len(rows) == ALL_MAPS_N4_ROWS
     h = hashlib.sha256()
     for row in sorted(rows):
@@ -201,7 +203,7 @@ def test_sweep_fills_each_frame_entry_once(monkeypatch):
         return entry(packed, e, v)
 
     monkeypatch.setattr(kernels, "_entry", counting_entry)
-    assert sum(1 for _ in sweep(6, complementations)) == 25470
+    assert sum(1 for _ in sweep(enumerate_posets(6), complementations)) == 25470
     assert len(calls) == len(set(calls)) == 662
     assert len({frame for frame, _, _ in calls}) == 73
 

@@ -35,7 +35,7 @@ def _digest(rows) -> str:
 def sweep6():
     """(poset index, poset, prime, flag bits) of every complementation map
     on every bounded poset with n = 6."""
-    return list(sweep(6, complementations))
+    return list(sweep(enumerate_posets(6), complementations))
 
 
 def test_sweep6_pinned(sweep6):
