@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .adjoint import CONDITION_KEYS, EQUIVALENCE_GROUPS
-from .poset_core import Poset, PosetError, indices_of, iter_mask
+from .poset_core import Poset, PosetError, indices_of, iter_mask, moved_map
 
 # The one name <-> bit table of the instance flags: bit i is the i-th name.
 # The sweep digests pin these bits, so the order never changes.
@@ -98,10 +98,7 @@ def instance_flags(packed: PackedPoset, prime) -> int:
         raise PosetError("prime map sends an element outside the carrier")
     s = packed.to_frame
     if s is not None:  # a copy: the same flags as its frame under the moved map
-        fp = [0] * n
-        for i, v in enumerate(prime):
-            fp[s[i]] = s[v]
-        prime = fp
+        prime = moved_map(s, prime)
     flags = -1  # a poset has an element, so the AND keeps only entry bits
     for e, (row, v) in enumerate(zip(packed.entries, prime)):
         if row[v] is None:

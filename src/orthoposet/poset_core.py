@@ -53,6 +53,15 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(iter_mask(mask))
 
 
+def moved_map(to_frame: Sequence[int], prime: Sequence[int]) -> list[int]:
+    """A copy's map moved onto its frame: frame element ``to_frame[i]`` goes
+    to ``to_frame[prime[i]]``."""
+    moved = [0] * len(prime)
+    for i, v in enumerate(prime):
+        moved[to_frame[i]] = to_frame[v]
+    return moved
+
+
 def add_cover(up: list[int], i: int, j: int) -> None:
     """Add i <= j to the up rows of a reflexive-transitive relation, in place.
 
@@ -162,6 +171,13 @@ class Poset:
                 raise PosetError(f"cover ({i}, {j}) outside the carrier")
             add_cover(up, i, j)
         return cls(names, up)
+
+    def frame_instance(self, prime: Sequence[int]) -> tuple["Poset", tuple[int, ...]]:
+        """``(frame, moved map)`` of the map ``prime`` on a copy, isomorphic
+        to ``(self, prime)``; ``(self, prime)`` itself on a poset without a frame."""
+        if self.frame is None:
+            return self, tuple(prime)
+        return self.frame, tuple(moved_map(self.to_frame, prime))
 
     # -- element and subset plumbing --------------------------------------
 

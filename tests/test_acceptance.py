@@ -2,14 +2,20 @@
 tolerance (exact comparisons throughout; the fixture criteria also carry
 wall-clock limits) and prints one pass/fail line per criterion. Also checks
 that a failing checker's witness reaches its criterion's detail, and that one
-process builds the n <= 5 sweep once and enumerates each carrier once."""
+process builds the n <= 5 sweep once and enumerates each carrier once.
+Criteria 8 and 9 check each frame instance once: the checkers must agree on
+a copy and its frame instance, and a failure must name the first labeled
+copy that reaches the failing frame instance."""
 import subprocess
 import sys
 
 import pytest
 
-from orthoposet import verify
-from orthoposet.properties import fail
+from orthoposet import kernels, verify
+from orthoposet.adjoint import check_adjointness_consequences
+from orthoposet.poset_core import OpPoset
+from orthoposet.properties import PropertyReport, fail
+from orthoposet.sasaki import check_projection_laws
 
 
 @pytest.mark.parametrize("number,name", [(num, name) for num, name, _, _ in verify.CRITERIA])
@@ -79,3 +85,88 @@ def test_verify_enumerates_each_carrier_once_per_process():
     # both modules' names are counted, so no sweep enumerates on its own
     out = subprocess.run([sys.executable, "-c", ENUMERATIONS], capture_output=True, text=True, check=True).stdout
     assert out == "[1, 2, 3, 4, 5]\n"
+
+
+def _criterion_corpus(number):
+    """The labeled (poset, prime) instances criterion 8 or 9 checks, in sweep order."""
+    if number == 9:
+        return [(p, prime) for p, prime, _ in verify.sweep_instances()]
+    arbitrary = [inst for inst in verify.all_map_instances() if inst[2] & kernels.FLAG_ORTHOGONAL]
+    directions = kernels.FLAGS["a1"] | kernels.FLAGS["a2"]
+    return [(p, prime) for p, prime, bits in verify.sweep_instances() + arbitrary if bits & directions]
+
+
+def _on_frame(p, prime):
+    """(frame, conjugated map), spelled apart from Poset.frame_instance."""
+    if p.frame is None:
+        return p, tuple(prime)
+    inverse = sorted(range(p.n), key=p.to_frame.__getitem__)
+    return p.frame, tuple(p.to_frame[prime[inverse[k]]] for k in range(p.n))
+
+
+@pytest.mark.parametrize("checker, number, size", [
+    (check_projection_laws, 9, 415),
+    (check_adjointness_consequences, 8, 902),
+])
+def test_checkers_agree_on_each_copy_and_its_frame_instance(checker, number, size):
+    # the invariance criteria 8 and 9 rely on when they check each frame
+    # instance once for every labeled copy that reaches it
+    corpus = _criterion_corpus(number)
+    assert len(corpus) == size
+    for p, prime in corpus:
+        key = p.frame_instance(prime)
+        assert key == _on_frame(p, prime)
+        assert checker(OpPoset(p, prime)).holds == checker(OpPoset(*key)).holds, (p.up, prime)
+
+
+CHECKER_CALLS = """
+from collections import Counter
+from orthoposet import verify
+
+calls = Counter()
+def counted(name):
+    real = getattr(verify, name)
+    def wrapper(*args):
+        calls[name] += 1
+        return real(*args)
+    return wrapper
+for name in ("check_adjointness_consequences", "check_projection_laws"):
+    setattr(verify, name, counted(name))
+for number in (8, 9):
+    assert verify.run_criterion(number).passed
+    print(calls["check_adjointness_consequences"], calls["check_projection_laws"])
+"""
+
+
+def test_criteria_8_and_9_check_each_frame_instance_once():
+    # 902 and 415 labeled instances reach 71 and 23 distinct frame instances
+    out = subprocess.run([sys.executable, "-c", CHECKER_CALLS], capture_output=True, text=True, check=True).stdout
+    assert out == "71 0\n71 23\n"
+
+
+@pytest.mark.parametrize("number, checker, prop", [
+    (8, "check_adjointness_consequences", "adjointness_consequences"),
+    (9, "check_projection_laws", "projection_laws"),
+])
+def test_failed_frame_instance_named_by_its_first_labeled_copy(number, checker, prop, monkeypatch):
+    # the first labeled copy, in sweep order, of each frame instance; pick one
+    # at n = 5 that differs from its frame instance in the map and the top's name
+    first = {}
+    for p, prime in _criterion_corpus(number):
+        first.setdefault(_on_frame(p, prime), (p, prime))
+    target, (p, prime) = next(
+        ((frame, moved), (p, prime)) for (frame, moved), (p, prime) in first.items()
+        if p.n == 5 and moved != prime and p.names[p.top] != frame.names[frame.top]
+    )
+
+    def broken(op, *args):
+        if _on_frame(op.poset, op.prime) == target:
+            return fail(prop, (op.poset.top,), "frame_instance_fails")
+        return PropertyReport(prop, True)
+
+    monkeypatch.setattr(verify, checker, broken)
+    result = verify.run_criterion(number)
+    assert not result.passed
+    want = fail(prop, (p.top,), "frame_instance_fails").describe(p)
+    assert result.detail.endswith(f"fails on n=5 prime={prime}: {want}")
+    assert f"[witness ({p.names[p.top]}): frame_instance_fails]" in result.detail

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from orthoposet import kernels
+from orthoposet import kernels, verify
 from orthoposet.adjoint import EQUIVALENCE_GROUPS, is_adjoint_pair
 from orthoposet.enumeration import all_maps, complementations, enumerate_posets, instance_flag_map, sweep
 from orthoposet.poset_core import CARRIER_CAP, OpPoset, Poset, PosetError, indices_of
@@ -86,6 +86,30 @@ def test_flags_pinned_on_every_map_up_to_n4():
     for row in sorted(rows):
         h.update(repr(row).encode())
     assert h.hexdigest() == ALL_MAPS_N4_SHA256
+
+
+def test_frame_instance_moves_every_map_up_to_n4_onto_its_frame():
+    # the one relabeling path: the moved map on the frame keeps the copy's
+    # flag bits, and to_frame is an order isomorphism from the copy onto it
+    instances = verify.all_map_instances()
+    assert len(instances) == ALL_MAPS_N4_ROWS
+    checked = set()
+    for p, prime, bits in instances:
+        frame, moved = p.frame_instance(prime)
+        if p.n == 1:
+            assert frame is p and moved == prime
+            continue
+        s = p.to_frame
+        assert frame is p.frame and frame.frame is None
+        assert kernels.instance_flags(kernels.pack_poset(frame), moved) == bits, (p.up, prime)
+        # moved = s . prime . s^-1, spelled through the inverse of s
+        inverse = sorted(range(p.n), key=s.__getitem__)
+        assert moved == tuple(s[prime[inverse[k]]] for k in range(p.n))
+        if p not in checked:
+            checked.add(p)
+            assert sorted(s) == list(range(p.n))
+            assert all(p.le(i, j) == frame.le(s[i], s[j]) for i in range(p.n) for j in range(p.n))
+    assert len(checked) == 2 + 6 + 36
 
 
 @pytest.mark.parametrize("n", sorted(RELATION_CODE_SHA256))
