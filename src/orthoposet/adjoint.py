@@ -11,11 +11,12 @@ schema. All witnesses are lexicographically first and replayable.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .poset_core import OpPoset, PosetError, iter_mask
+from .poset_core import OpPoset, Poset, PosetError, iter_mask
 from .properties import (
     PropertyReport,
     fail,
@@ -56,30 +57,54 @@ def _tables(op: OpPoset):
     return ot.cells, at.cells
 
 
-def check_directions(op: OpPoset, cells=None):
-    """Both directions in one x, y, z pass.
+@functools.lru_cache(maxsize=1)
+def _slice_memo(p: Poset) -> dict:
+    """Decided y-slices of p, one-entry as ``properties.poset_reports``."""
+    return {}
 
-    Returns ((a1 holds, first a1 violation), (a2 holds, first a2
-    violation)); the pass stops once both directions have failed.
+
+def _slice(p: Poset, column, row):
+    """First a1 and first a2 violation (x, z), x-major, of one y-slice:
+    ``column`` is odot column y and ``row`` is arrow row y."""
+    w1 = w2 = None
+    for x, odot_xy in enumerate(column):
+        up_x = p.up[x]
+        for z, arrow_yz in enumerate(row):
+            below = bool(odot_xy & p.down[z])
+            if below == bool(arrow_yz & up_x):
+                continue
+            if below:
+                w1 = w1 or (x, z)
+            else:
+                w2 = w2 or (x, z)
+            if w1 and w2:
+                return w1, w2
+    return w1, w2
+
+
+def check_directions(op: OpPoset, cells=None):
+    """Both directions, one y-slice at a time.
+
+    Slice y reads only odot column y and arrow row y, so it is decided once
+    per poset for its contents (y, column, row), whatever map the cells came
+    from. Returns ((a1 holds, first a1 violation), (a2 holds, first a2
+    violation)), the first being the least (x, y, z) over the slices.
     """
     p = op.poset
     ocells, acells = cells if cells is not None else _tables(op)
+    memo = _slice_memo(p)
     w1 = w2 = None
-    for x in range(p.n):
-        up_x = p.up[x]
-        for y in range(p.n):
-            odot_xy = ocells[x][y]
-            arrow_y = acells[y]
-            for z in range(p.n):
-                below = bool(odot_xy & p.down[z])
-                if below == bool(arrow_y[z] & up_x):
-                    continue
-                if below:
-                    w1 = w1 or (x, y, z)
-                else:
-                    w2 = w2 or (x, y, z)
-                if w1 and w2:
-                    return (False, w1), (False, w2)
+    for y, (column, row) in enumerate(zip(zip(*ocells), acells)):
+        key = (y, column, tuple(row))
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = _slice(p, column, row)
+        s1, s2 = found
+        # y ascends, so a tie in x keeps the earlier slice
+        if s1 and (w1 is None or s1[0] < w1[0]):
+            w1 = (s1[0], y, s1[1])
+        if s2 and (w2 is None or s2[0] < w2[0]):
+            w2 = (s2[0], y, s2[1])
     return (w1 is None, w1), (w2 is None, w2)
 
 

@@ -119,7 +119,9 @@ def instance_flag_map(op: OpPoset) -> dict[str, bool]:
 
     The property flags are ``op_reports``, whose poset-level part comes from
     the one-entry cache of ``properties.poset_reports``; total/a1/a2/adjoint
-    come from one ``op_tables`` + ``check_directions`` pass.
+    come from one ``op_tables`` + ``check_directions`` pass, which read the
+    lines and slices of the hits before them on the same poset from their
+    one-entry per-poset memos.
     """
     flags = {name: r.holds for name, r in op_reports(op).items()}
     try:

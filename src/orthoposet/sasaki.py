@@ -12,6 +12,7 @@ comparison machinery downstream quantifies over their members directly.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .poset_core import OpPoset, Poset, PosetError, UndefinedOperationError, iter_mask
@@ -72,12 +73,58 @@ def sasaki_proj_set(op: OpPoset, a: int, subset: int) -> int:
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _line_memo(p: Poset) -> dict[str, dict]:
+    """Per-kind memo of the table lines of p, one-entry as
+    ``properties.poset_reports``: a search streams every hit on one poset in
+    a row, and the lines of its maps repeat."""
+    return {"odot": {}, "arrow": {}}
+
+
+def _line(op: OpPoset, kind: str, i: int):
+    """``(cells, None)`` for column i of the odot table or row i of the
+    arrow table, or ``(None, ((x, y), kind, left, right))`` at its first
+    undefined cell (x, y). Either line reads only i and its image."""
+    rng = range(op.poset.n)
+    cell, pairs = (odot, [(j, i) for j in rng]) if kind == "odot" else (arrow, [(i, j) for j in rng])
+    cells = []
+    for x, y in pairs:
+        try:
+            cells.append(cell(op, x, y))
+        except UndefinedOperationError as exc:
+            return None, ((x, y), exc.kind, exc.left, exc.right)
+    return tuple(cells), None
+
+
+def _lines(op: OpPoset, kind: str) -> list[tuple]:
+    """Every line of one table, each built once per (element, image) of
+    the poset; raises UndefinedOperationError on its x-major first
+    undefined cell."""
+    memo = _line_memo(op.poset)[kind]
+    lines = []
+    for key in enumerate(op.prime):
+        line = memo.get(key)
+        if line is None:
+            line = memo[key] = _line(op, kind, key[0])
+        lines.append(line)
+    faults = [fault for _, fault in lines if fault]
+    if faults:
+        _, missing, left, right = min(faults)
+        raise UndefinedOperationError(missing, left, right, op.poset)
+    return [cells for cells, _ in lines]
+
+
 def op_tables(op: OpPoset) -> tuple[OpTable, OpTable]:
     """Both operation tables; raises UndefinedOperationError on the first
-    cell that needs a missing meet or join."""
+    cell that needs a missing meet or join, x-major over odot and then over
+    arrow.
+
+    Column y of odot reads only y', and row x of arrow only x', so both are
+    built from lines memoized per (element, image) of the poset.
+    """
     p = op.poset
-    ocells = tuple(tuple(odot(op, x, y) for y in range(p.n)) for x in range(p.n))
-    acells = tuple(tuple(arrow(op, x, y) for y in range(p.n)) for x in range(p.n))
+    ocells = tuple(zip(*_lines(op, "odot")))
+    acells = tuple(_lines(op, "arrow"))
     return OpTable("odot", p, ocells), OpTable("arrow", p, acells)
 
 

@@ -1,8 +1,13 @@
+import functools
+import random
+
 import pytest
 from hypothesis import strategies as st
 
+from orthoposet.enumeration import enumerate_posets
 from orthoposet.io_cli import document_to_op, load_fixture
 from orthoposet.poset_core import OpPoset, Poset
+from orthoposet.properties import is_lattice
 
 FIXTURE_NAMES = ("ex1", "m3", "fig3", "benzene", "cube8")
 
@@ -59,6 +64,25 @@ def relabeled(p: Poset, perm) -> Poset:
     for i, k in enumerate(perm):
         names[k] = p.names[i]
     return Poset.from_covers(names, [(perm[i], perm[j]) for i, j in p.covers()])
+
+
+@functools.cache
+def non_lattice_maps() -> tuple[OpPoset, ...]:
+    """Four seeded maps on each of the 180 non-lattice bounded posets with
+    n = 6, the second and fourth swapping the bounds: 41 of the 720 are
+    total and 679 partial. Every bounded poset with n <= 5 is a lattice, so
+    these are the first carriers with partial operations."""
+    rng = random.Random(6)
+    ops = []
+    for p in enumerate_posets(6):
+        if is_lattice(p).holds:
+            continue
+        for k in range(4):
+            prime = [rng.randrange(6) for _ in range(6)]
+            if k % 2:
+                prime[p.bottom], prime[p.top] = p.top, p.bottom
+            ops.append(OpPoset(p, prime))
+    return tuple(ops)
 
 
 def two_chain(prime=(1, 0)) -> OpPoset:

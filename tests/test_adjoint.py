@@ -18,9 +18,9 @@ from orthoposet import adjoint, kernels, verify
 from orthoposet.enumeration import enumerate_posets
 from orthoposet.poset_core import OpPoset, PosetError
 from orthoposet.properties import is_lattice, is_orthogonal
-from orthoposet.sasaki import arrow
+from orthoposet.sasaki import arrow, is_sasaki_total, odot
 
-from conftest import two_chain
+from conftest import non_lattice_maps, two_chain
 
 A1_VIOLATION = (True, False)
 A2_VIOLATION = (False, True)
@@ -74,20 +74,51 @@ def test_one_element_is_adjoint():
     assert check_directions(op) == ((True, None), (True, None))
 
 
+def _first_violations(p, ocells, acells):
+    """((a1 holds, first violation), (a2 holds, first violation)) of the
+    given cells, by a plain x-major walk over every (x, y, z)."""
+    first = {}
+    for x, y, z in itertools.product(range(p.n), repeat=3):
+        sides = bool(ocells[x][y] & p.down[z]), bool(acells[y][z] & p.up[x])
+        first.setdefault(sides, (x, y, z))
+    w1, w2 = first.get(A1_VIOLATION), first.get(A2_VIOLATION)
+    return (w1 is None, w1), (w2 is None, w2)
+
+
 def test_direction_witnesses_replay_and_are_first():
-    # every first witness replays against odot/arrow, and no earlier triple
-    # violates the same direction
-    n = 3
-    for p in enumerate_posets(n):
-        for prime in itertools.product(range(n), repeat=n):
-            op = OpPoset(p, prime)
-            for (holds, wit), violation in zip(check_directions(op), (A1_VIOLATION, A2_VIOLATION)):
-                assert holds == (wit is None)
-                if wit is None:
-                    continue
+    # every map with n = 3 or 4 and the 41 total maps of the n = 6
+    # non-lattice corpus: the witnesses are the first violations and replay
+    # against odot/arrow. The maps of each poset come in a row, so most
+    # slices are read from the memo.
+    ops = [
+        OpPoset(p, prime)
+        for n in (3, 4)
+        for p in enumerate_posets(n)
+        for prime in itertools.product(range(n), repeat=n)
+    ]
+    ops += [op for op in non_lattice_maps() if is_sasaki_total(op)]
+    assert len(ops) == 6 * 27 + 36 * 256 + 41
+    for op in ops:
+        cells = range(op.poset.n)
+        ocells = [[odot(op, x, y) for y in cells] for x in cells]
+        acells = [[arrow(op, x, y) for y in cells] for x in cells]
+        want = _first_violations(op.poset, ocells, acells)
+        assert check_directions(op) == want, op
+        for (_, wit), violation in zip(want, (A1_VIOLATION, A2_VIOLATION)):
+            if wit is not None:
                 assert direction_sides(op, wit) == violation
-                earlier = itertools.takewhile(lambda t: t != wit, itertools.product(range(n), repeat=3))
-                assert all(direction_sides(op, t) != violation for t in earlier)
+
+
+def test_substituted_cells_are_never_served_stale(m3):
+    # a slice is memoized under its contents, so other cells on the same
+    # poset are decided afresh
+    p = m3.poset
+    ocells, acells = adjoint._tables(m3)
+    bottom_everywhere = ((1 << p.bottom,) * p.n,) * p.n
+    top_everywhere = ((1 << p.top,) * p.n,) * p.n
+    for cells in ((ocells, acells), (bottom_everywhere, acells), (ocells, top_everywhere), (ocells, acells)):
+        assert check_directions(m3, cells) == _first_violations(p, *cells)
+    assert is_adjoint_pair(m3).adjoint
 
 
 def test_adjoint_reports_pinned(fixture_ops):

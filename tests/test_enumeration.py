@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from orthoposet import enumeration, kernels, naive, properties
+from orthoposet import adjoint, enumeration, kernels, naive, properties, sasaki
 from orthoposet.enumeration import (
     SEARCH_FLAGS,
     SearchGoal,
@@ -429,6 +429,12 @@ def test_replay_decides_poset_flags_once_per_run_of_hits(monkeypatch):
     a = next(ops for p, ops in by_poset.items() if len(ops) > 1 and is_modular(p).holds)
     b = next(ops for p, ops in by_poset.items() if len(ops) > 1 and not is_modular(p).holds)
     hits = a + b + a
+    # the reference reads no memoized line or slice of an earlier hit
+    want = []
+    for op in hits:
+        sasaki._line_memo.cache_clear()
+        adjoint._slice_memo.cache_clear()
+        want.append((_fresh_flags(op), is_adjoint_pair(op)))
     calls = []
 
     def counting_modular(p):
@@ -437,8 +443,10 @@ def test_replay_decides_poset_flags_once_per_run_of_hits(monkeypatch):
 
     monkeypatch.setattr(properties, "is_modular", counting_modular)
     properties.poset_reports.cache_clear()
-    for op in hits:
-        assert instance_flag_map(op) == _fresh_flags(op)
+    sasaki._line_memo.cache_clear()
+    adjoint._slice_memo.cache_clear()
+    # witnesses included, as is_adjoint_pair reports them
+    assert [(instance_flag_map(op), is_adjoint_pair(op)) for op in hits] == want
     # one run of consecutive hits per poset: A, then B, then A again
     assert [p.up for p in calls] == [a[0].poset.up, b[0].poset.up, a[0].poset.up]
     assert len(hits) > len(calls)

@@ -20,7 +20,7 @@ from orthoposet.properties import (
 )
 from orthoposet.sasaki import is_sasaki_total
 
-from conftest import two_chain
+from conftest import non_lattice_maps, two_chain
 
 EXPECTED_PROFILES = {
     "ex1": dict(
@@ -290,3 +290,26 @@ def test_lattice_cases(ex1, fig3):
     assert is_lattice(fig3.poset).holds
     chain = Poset.from_covers(("0", "m", "1"), [(0, 1), (1, 2)])
     assert is_lattice(chain).holds
+
+
+# Taken while op_reports still decided orthomodular through is_orthomodular
+# and the orthogonal and antitone deciders still read ``Poset.le``/``join``
+# per pair: the sorted reprs of (up rows, prime, then (property, holds,
+# witness) in report order) over every unary map with n <= 4 and the seeded
+# n = 6 non-lattice corpus.
+OP_REPORT_ROWS = 10107
+OP_REPORT_SHA256 = "3c1d9c6fb940171108c09466f0fe456057425d75180226ab4a802823db9945d9"
+
+
+def test_op_reports_pinned():
+    ops = [OpPoset(p, prime) for p, prime, _ in verify.all_map_instances()]
+    ops += non_lattice_maps()
+    rows = []
+    for op in ops:
+        reports = op_reports(op).items()
+        rows.append(repr((op.poset.up, op.prime, [(name, r.holds, r.witness) for name, r in reports])))
+    assert len(rows) == OP_REPORT_ROWS
+    h = hashlib.sha256()
+    for row in sorted(rows):
+        h.update(row.encode())
+    assert h.hexdigest() == OP_REPORT_SHA256

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,8 @@ from orthoposet.sasaki import (
     sasaki_proj_dual,
     sasaki_proj_set,
 )
+
+from conftest import non_lattice_maps
 
 
 def names(op, mask):
@@ -125,6 +128,35 @@ def test_undefined_meet_reports_offender(butterfly):
     assert exc.value.kind in ("meet", "join")
     assert not is_sasaki_total(butterfly)
     assert not is_orthogonal(butterfly).holds
+
+
+def _first_undefined_cell(op):
+    """(kind, left, right) of the first cell that raises, x-major over
+    odot and then over arrow, or None."""
+    n = op.poset.n
+    for cell in (odot, arrow):
+        for x, y in itertools.product(range(n), repeat=2):
+            try:
+                cell(op, x, y)
+            except UndefinedOperationError as exc:
+                return exc.kind, exc.left, exc.right
+    return None
+
+
+def test_op_tables_raise_on_the_first_undefined_cell():
+    # the maps of each poset come in a row, so later ones read memoized lines
+    partial = 0
+    for op in non_lattice_maps():
+        want = _first_undefined_cell(op)
+        try:
+            op_tables(op)
+        except UndefinedOperationError as exc:
+            got = exc.kind, exc.left, exc.right
+            partial += 1
+        else:
+            got = None
+        assert got == want, op
+    assert partial == 679
 
 
 def test_totality_matches_orthogonality_on_instances(butterfly, ex1, pentagon):

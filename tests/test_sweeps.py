@@ -1,7 +1,6 @@
 """Six-element sweeps: the exhaustive n<=5 ground is covered by the
 acceptance suite; these check the same invariants one size up."""
 import hashlib
-import random
 
 import pytest
 
@@ -11,6 +10,8 @@ from orthoposet.enumeration import SearchGoal, complementations, enumerate_poset
 from orthoposet.poset_core import OpPoset, Poset
 from orthoposet.properties import is_lattice, is_orthogonal
 from orthoposet.sasaki import is_sasaki_total
+
+from conftest import non_lattice_maps
 
 # Every complementation map on every bounded poset with n = 6: the count and
 # the digest over the sorted (up rows, prime, flag bits) rows, the same pin
@@ -67,31 +68,25 @@ def test_totality_and_directions_on_every_non_lattice_at_n6():
     # Every bounded poset with n <= 5 is a lattice, where every map is total;
     # the 180 non-lattices at n = 6 are the first carriers with partial
     # operations. Four seeded maps each, two of them swapping the bounds.
-    rng = random.Random(6)
-    non_lattices = total = partial = 0
+    total = partial = 0
     rows = []
-    for p in enumerate_posets(6):
-        if is_lattice(p).holds:
+    packed = {}
+    for op in non_lattice_maps():
+        p, prime = op.poset, op.prime
+        if p not in packed:
+            packed[p] = kernels.pack_poset(p)
+        bits = kernels.instance_flags(packed[p], prime)
+        rows.append((p.up, prime, bits))
+        is_total = bool(bits & kernels.FLAGS["total"])
+        assert is_total == is_sasaki_total(op) == is_orthogonal(op).holds, (p, prime)
+        if not is_total:
+            partial += 1
             continue
-        non_lattices += 1
-        packed = kernels.pack_poset(p)
-        for k in range(4):
-            prime = [rng.randrange(6) for _ in range(6)]
-            if k % 2:
-                prime[p.bottom], prime[p.top] = p.top, p.bottom
-            op = OpPoset(p, prime)
-            bits = kernels.instance_flags(packed, op.prime)
-            rows.append((p.up, op.prime, bits))
-            is_total = bool(bits & kernels.FLAGS["total"])
-            assert is_total == is_sasaki_total(op) == is_orthogonal(op).holds, (p, prime)
-            if not is_total:
-                partial += 1
-                continue
-            total += 1
-            (a1, _), (a2, _) = check_directions(op)
-            assert bool(bits & kernels.FLAGS["a1"]) == a1, (p, prime)
-            assert bool(bits & kernels.FLAGS["a2"]) == a2, (p, prime)
-    assert non_lattices == 180
+        total += 1
+        (a1, _), (a2, _) = check_directions(op)
+        assert bool(bits & kernels.FLAGS["a1"]) == a1, (p, prime)
+        assert bool(bits & kernels.FLAGS["a2"]) == a2, (p, prime)
+    assert len(packed) == 180
     assert (total, partial) == (41, 679)
     assert _digest(rows) == NON_LATTICE_MAPS_SHA256
 
