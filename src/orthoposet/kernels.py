@@ -12,6 +12,11 @@ modules never depend on this file, so every kernel result can be replayed on the
 The cell x (.) y reads no image but that of y, and x (->) y none but that
 of x, so most flags are an AND, over the elements, of predicates on one
 (element, image) pair, memoized on the packed poset (see ``instance_flags``).
+The whole flag bitfield of a map is memoized too, per frame instance (the
+map moved onto the frame), so the copies of a frame evaluate each of its
+instances once. Only complemented instances are stored: they are the ones
+the copies repeat, and they bound the memo by the frame's complementations,
+however many other maps a search or an all-map sweep tries.
 """
 from __future__ import annotations
 
@@ -53,14 +58,18 @@ class PackedPoset:
     is set: its rows, join/meet tables and Min U/Max L masks are read there.
     ``above[x]`` lists the indices of every y with x <= y. ``entries[e][v]``
     memoizes the per-element flag bits of element e with image v (see
-    ``instance_flags``); each slot stays None until first use. One is built
-    per poset without a frame or per frame, and kept on it as ``_packed``.
+    ``instance_flags``); each slot stays None until first use. ``memo`` maps
+    the frame-labelled map of each complemented instance evaluated so far to
+    its flag bits. One is built per poset without a frame or per frame, and
+    kept on it as ``_packed``; a copy's state is that one with ``to_frame``
+    set, sharing its ``entries`` and ``memo``.
     """
 
     poset: Poset
     above: tuple[tuple[int, ...], ...]
     entries: list[list[Optional[int]]] = field(compare=False, repr=False)
     to_frame: Optional[tuple[int, ...]] = None
+    memo: dict[tuple[int, ...], int] = field(default_factory=dict, compare=False, repr=False)
 
 
 def pack_poset(p: Poset) -> PackedPoset:
@@ -85,10 +94,16 @@ def instance_flags(packed: PackedPoset, prime) -> int:
     - conditions i, ii and vi read the cells x (.) e, conditions iii, iv
       and v the cells e (->) y, and a1 and a2 both.
 
-    The other three bits relate several images and are computed per map.
-    The a1/a2/condition bits are only set with the total bit; callers gate
-    on the orthogonal bit (equivalent by the totality proposition) before
-    reading them.
+    The other three bits relate several images and are computed per map;
+    antitone is checked on the covers, which imply every comparable pair by
+    transitivity. The a1/a2/condition bits are only set with the total bit;
+    callers gate on the orthogonal bit (equivalent by the totality
+    proposition) before reading them.
+
+    Every bit is an isomorphism invariant, so a copy is evaluated on its
+    frame under the moved map, and the result of a complemented instance is
+    kept in ``packed.memo`` for the frame's other copies. The map is
+    validated before the lookup, on every call.
     """
     p = packed.poset
     n = p.n
@@ -97,22 +112,27 @@ def instance_flags(packed: PackedPoset, prime) -> int:
     if min(prime) < 0 or max(prime) >= n:
         raise PosetError("prime map sends an element outside the carrier")
     s = packed.to_frame
-    if s is not None:  # a copy: the same flags as its frame under the moved map
-        prime = moved_map(s, prime)
+    # a copy: the same flags as its frame under the moved map
+    prime = tuple(prime if s is None else moved_map(s, prime))
+    flags = packed.memo.get(prime)
+    if flags is not None:
+        return flags
     flags = -1  # a poset has an element, so the AND keeps only entry bits
     for e, (row, v) in enumerate(zip(packed.entries, prime)):
         if row[v] is None:
             row[v] = _entry(packed, e, v)
         flags &= row[v]
     up = p.up
-    anti = all((up[prime[y]] >> prime[x]) & 1 for x in range(n) for y in packed.above[x])
+    anti = all((up[prime[y]] >> prime[x]) & 1 for x, y in p.covers())
     inv = all(prime[v] == x for x, v in enumerate(prime))
     if anti:
         flags |= FLAGS["antitone"]
     if inv:
         flags |= FLAGS["involution"]
-    if anti and inv and flags & FLAGS["complemented"] and _orthomodular(packed, prime):
-        flags |= FLAGS["orthomodular"]
+    if flags & FLAGS["complemented"]:
+        if anti and inv and _orthomodular(packed, prime):
+            flags |= FLAGS["orthomodular"]
+        packed.memo[prime] = flags
     return flags
 
 

@@ -87,12 +87,13 @@ class Poset:
     relabeled copies with the unchecked ``_trusted``; a copy's element i is
     ``to_frame[i]`` of its frame (both None on other posets). The name index,
     the join and meet tables, the Min U and Max L masks (``min_upper``,
-    ``max_lower``) and the kernel state (``_packed``, on a poset without a
-    frame or on a frame) are built on first use.
+    ``max_lower``), the cover list (``covers``) and the kernel state
+    (``_packed``, on a poset without a frame or on a frame) are built on
+    first use.
     """
 
     __slots__ = ("names", "n", "up", "down", "bottom", "top", "full", "frame", "to_frame",
-                 "_index", "_joins", "_meets", "_min_upper", "_max_lower", "_packed")
+                 "_index", "_joins", "_meets", "_min_upper", "_max_lower", "_covers", "_packed")
 
     def __init__(self, names: Sequence[str], up_rows: Sequence[int]):
         names = tuple(names)
@@ -137,7 +138,7 @@ class Poset:
         self.top = tops[0]
         self.full = full
         self.frame = self.to_frame = self._packed = None
-        self._index = self._joins = self._meets = self._min_upper = self._max_lower = None
+        self._index = self._joins = self._meets = self._min_upper = self._max_lower = self._covers = None
 
     # -- construction -----------------------------------------------------
 
@@ -158,7 +159,7 @@ class Poset:
         self.top = top
         self.full = (1 << self.n) - 1
         self.frame, self.to_frame, self._packed = frame, to_frame, None
-        self._index = self._joins = self._meets = self._min_upper = self._max_lower = None
+        self._index = self._joins = self._meets = self._min_upper = self._max_lower = self._covers = None
         return self
 
     @classmethod
@@ -287,16 +288,17 @@ class Poset:
 
     # -- structure ----------------------------------------------------------
 
-    def covers(self) -> list[tuple[int, int]]:
-        """Cover pairs (i, j), i.e. the transitive reduction of the order."""
-        out = []
-        for i in range(self.n):
-            strict = self.up[i] & ~(1 << i)
-            for j in iter_mask(strict):
-                between = strict & self.down[j] & ~(1 << j)
-                if not between:
-                    out.append((i, j))
-        return out
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Cover pairs (i, j), i.e. the transitive reduction of the order,
+        built on first use."""
+        if self._covers is None:
+            self._covers = tuple(
+                (i, j)
+                for i in range(self.n)
+                for j in iter_mask(self.up[i] & ~(1 << i))
+                if not self.up[i] & self.down[j] & ~(1 << i | 1 << j)
+            )
+        return self._covers
 
     def __eq__(self, other) -> bool:
         return (

@@ -51,6 +51,7 @@ def test_pack_poset_tables(ex1):
     shared = kernels.pack_poset(copy)
     assert shared.poset is copy.frame and shared.to_frame == copy.to_frame
     assert kernels.pack_poset(copy.frame).entries is shared.entries
+    assert kernels.pack_poset(copy.frame).memo is shared.memo
 
 
 def test_flags_match_core_deciders():
@@ -189,15 +190,19 @@ def test_entry_total_iff_orthogonal():
 
 
 def test_frame_sharing_changes_no_bit():
-    # A copy from enumerate_posets is evaluated on its frame's tables; the
-    # same order through the validating constructor has no frame. Every
-    # complementation for n <= 5, then seeded maps on the 180 non-lattices at
-    # n = 6, the first posets with partial instances.
+    # A copy from enumerate_posets is evaluated on its frame's tables and
+    # memo; the same order through the validating constructor has no frame,
+    # and each of its maps is evaluated once, so none is served from a memo.
+    # Every map for n <= 4, every complementation for n = 5, then seeded maps
+    # on the 180 non-lattices at n = 6, the first posets with partial instances.
     rng = random.Random(15)
-    instances = partial = 0
+    instances = partial = complemented = 0
+    frames = set()
     for n in range(1, 7):
         for p in enumerate_posets(n):
-            if n <= 5:
+            if n <= 4:
+                maps = list(all_maps(0, p))
+            elif n == 5:
                 maps = list(complementations(0, p))
             elif is_lattice(p).holds:
                 continue
@@ -212,13 +217,20 @@ def test_frame_sharing_changes_no_bit():
                 assert bits == kernels.instance_flags(fresh, prime), (p.up, prime)
                 instances += 1
                 partial += not bits & kernels.FLAGS["total"]
-    assert instances == 1 + 2 + 12 + 400 + 180 * 6
+                if n <= 5:
+                    frames.add(shared.poset)
+                    complemented += bool(bits & kernels.FLAGS["complemented"])
+    assert instances == ALL_MAPS_N4_ROWS + 400 + 180 * 6
     assert partial > 0
+    # the copies repeat frame instances: 415 complemented ones are 23 on frames
+    memoized = sum(len(kernels.pack_poset(frame).memo) for frame in frames)
+    assert (memoized, complemented) == (23, 415)
 
 
 def test_sweep_fills_each_frame_entry_once(monkeypatch):
-    # the copies of a frame share its entries: 2,190 complemented posets at
-    # n = 6 are copies of 73 frames, with 662 (frame, element, image) entries
+    # the copies of a frame share its entries and its memo: 2,190
+    # complemented posets at n = 6 are copies of 73 frames, with 662 (frame,
+    # element, image) entries, and their 25,470 maps are 849 frame instances
     calls = []
     entry = kernels._entry
 
@@ -227,9 +239,36 @@ def test_sweep_fills_each_frame_entry_once(monkeypatch):
         return entry(packed, e, v)
 
     monkeypatch.setattr(kernels, "_entry", counting_entry)
-    assert sum(1 for _ in sweep(enumerate_posets(6), complementations)) == 25470
+    frames = [p.frame for _, p, _, _ in sweep(enumerate_posets(6), complementations)]
+    assert len(frames) == 25470
     assert len(calls) == len(set(calls)) == 662
-    assert len({frame for frame, _, _ in calls}) == 73
+    assert {frame for frame, _, _ in calls} == set(frames)
+    assert len(set(frames)) == 73
+    assert sum(len(kernels.pack_poset(frame).memo) for frame in set(frames)) == 849
+
+
+def test_memo_holds_only_complementations():
+    # an all-map sweep stores each complementation of a frame and nothing
+    # else, so the memo stays what the complemented sweep fills
+    frames = {p.frame or p for _, p, _, _ in sweep(enumerate_posets(4), all_maps)}
+    assert len(frames) == 3
+    for frame in frames:
+        assert set(kernels.pack_poset(frame).memo) == set(complementations(0, frame)), frame.up
+    assert sum(len(kernels.pack_poset(frame).memo) for frame in frames) > 0
+
+
+def test_bad_prime_on_a_copy_rejected_after_its_instance_is_memoized():
+    copy = next(p for p in enumerate_posets(4) if p.frame is not None and p.to_frame != tuple(range(4)))
+    packed = kernels.pack_poset(copy)
+    prime = next(complementations(0, copy))
+    bits = kernels.instance_flags(packed, prime)
+    assert packed.memo[copy.frame_instance(prime)[1]] == bits
+    # -n + v indexes the move like v, so only the validation can refuse it
+    wrapped = (prime[0] - 4,) + prime[1:]
+    for bad in (wrapped, prime[:3], prime + (0,)):
+        with pytest.raises(PosetError, match="carrier"):
+            kernels.instance_flags(packed, bad)
+    assert kernels.instance_flags(packed, prime) == bits
 
 
 def test_pack_poset_at_the_carrier_cap():

@@ -185,6 +185,16 @@ def test_min_upper_max_lower_match_minimal_maximal(fixture_ops, butterfly, penta
                 assert p.meet(x, y) == (maxs.bit_length() - 1 if maxs & (maxs - 1) == 0 else None)
 
 
+def test_covers_built_once_and_match_naive_reduction(fixture_ops, butterfly, pentagon):
+    for op in [*fixture_ops.values(), butterfly, pentagon]:
+        p = Poset(op.poset.names, op.poset.up)
+        assert p._covers is None
+        covers = p.covers()
+        assert type(covers) is tuple and p.covers() is covers
+        assert set(covers) == naive.covers(naive.relation_pairs(p.up), p.n)
+        assert len(covers) == len(set(covers))
+
+
 def test_interval(ex1):
     # the interval [a, b] is the mask up[a] & down[b]
     p = ex1.poset
