@@ -52,14 +52,9 @@ class AdjointReport:
         return {"a1": self.a1, "a2": self.a2, **self.conditions}
 
 
-def _tables(op: OpPoset):
-    ot, at = op_tables(op)
-    return ot.cells, at.cells
-
-
 @functools.lru_cache(maxsize=1)
 def _slice_memo(p: Poset) -> dict:
-    """Decided y-slices of p, one-entry as ``properties.poset_reports``."""
+    """Decided y-slices of p by (y, y'), one-entry as ``properties.poset_reports``."""
     return {}
 
 
@@ -82,23 +77,23 @@ def _slice(p: Poset, column, row):
     return w1, w2
 
 
-def check_directions(op: OpPoset, cells=None):
-    """Both directions, one y-slice at a time.
+def check_directions(op: OpPoset):
+    """Both directions, one y-slice at a time; raises UndefinedOperationError
+    as ``op_tables`` does.
 
-    Slice y reads only odot column y and arrow row y, so it is decided once
-    per poset for its contents (y, column, row), whatever map the cells came
-    from. Returns ((a1 holds, first a1 violation), (a2 holds, first a2
-    violation)), the first being the least (x, y, z) over the slices.
+    Slice y reads only odot column y and arrow row y, which read no image
+    but y', so it is decided once per (y, y') of the poset. Returns ((a1
+    holds, first a1 violation), (a2 holds, first a2 violation)), the first
+    being the least (x, y, z) over the slices.
     """
     p = op.poset
-    ocells, acells = cells if cells is not None else _tables(op)
+    odot_table, arrow_table = op_tables(op)
     memo = _slice_memo(p)
     w1 = w2 = None
-    for y, (column, row) in enumerate(zip(zip(*ocells), acells)):
-        key = (y, column, tuple(row))
-        found = memo.get(key)
+    for y, py in enumerate(op.prime):
+        found = memo.get((y, py))
         if found is None:
-            found = memo[key] = _slice(p, column, row)
+            found = memo[y, py] = _slice(p, [row[y] for row in odot_table.cells], arrow_table.cells[y])
         s1, s2 = found
         # y ascends, so a tie in x keeps the earlier slice
         if s1 and (w1 is None or s1[0] < w1[0]):
@@ -127,7 +122,7 @@ def _image(row, mask: int) -> int:
     return out
 
 
-def check_conditions(op: OpPoset, cells=None) -> dict[str, tuple[bool, Optional[tuple[int, int]]]]:
+def check_conditions(op: OpPoset) -> dict[str, tuple[bool, Optional[tuple[int, int]]]]:
     """The six two-variable conditions in one x-major walk over the pairs (x, y).
 
     Returns ``{key: (holds, first violating (x, y) or None)}`` in
@@ -146,7 +141,7 @@ def check_conditions(op: OpPoset, cells=None) -> dict[str, tuple[bool, Optional[
     p = op.poset
     prime = op.prime
     join, meet = p.join_table, p.meet_table
-    ocells, acells = cells if cells is not None else _tables(op)
+    ocells, acells = (table.cells for table in op_tables(op))
     found: dict[str, tuple[int, int]] = {}
     for x, y in itertools.product(range(p.n), repeat=2):
         px, py = prime[x], prime[y]
@@ -170,9 +165,8 @@ def check_conditions(op: OpPoset, cells=None) -> dict[str, tuple[bool, Optional[
 
 
 def is_adjoint_pair(op: OpPoset) -> AdjointReport:
-    cells = _tables(op)
-    (a1, w1), (a2, w2) = check_directions(op, cells)
-    conds = check_conditions(op, cells)
+    (a1, w1), (a2, w2) = check_directions(op)
+    conds = check_conditions(op)
     return AdjointReport(
         a1, a2, w1, w2,
         {key: holds for key, (holds, _) in conds.items()},
@@ -193,8 +187,7 @@ def check_adjointness_consequences(op: OpPoset) -> PropertyReport:
     constant-bottom map on the 2-chain satisfies a2 yet has 0 (->) 0 = {0}.
     """
     p = op.poset
-    cells = _tables(op)
-    (a1, _), (a2, _) = check_directions(op, cells)
+    (a1, _), (a2, _) = check_directions(op)
     top_mask, bottom_mask = 1 << p.top, 1 << p.bottom
     if a1:
         for x in range(p.n):
@@ -204,9 +197,10 @@ def check_adjointness_consequences(op: OpPoset) -> PropertyReport:
         for x in range(p.n):
             if p.down[x] & p.down[op.prime[x]] != bottom_mask:
                 return fail("adjointness_consequences", (x,), "a2_meet_not_bottom")
+        arrow_cells = op_tables(op)[1].cells
         for x in range(p.n):
             for y in range(p.n):
-                if cells[1][x][y] == top_mask and not p.le(x, y):
+                if arrow_cells[x][y] == top_mask and not p.le(x, y):
                     return fail("adjointness_consequences", (x, y), "a2_arrow_top_not_le")
     return PropertyReport("adjointness_consequences", True)
 

@@ -17,7 +17,6 @@ from . import kernels
 from .adjoint import check_directions
 from .poset_core import OpPoset, Poset, PosetError, UndefinedOperationError
 from .properties import PROPERTY_NAMES, is_lattice, is_modular, is_saturated, op_reports
-from .sasaki import op_tables
 
 MAX_BOUNDED_N = 8
 
@@ -119,17 +118,16 @@ def instance_flag_map(op: OpPoset) -> dict[str, bool]:
 
     The property flags are ``op_reports``, whose poset-level part comes from
     the one-entry cache of ``properties.poset_reports``; total/a1/a2/adjoint
-    come from one ``op_tables`` + ``check_directions`` pass, which read the
-    lines and slices of the hits before them on the same poset from their
-    one-entry per-poset memos.
+    come from one ``check_directions`` pass, which reads the lines and slices
+    of the hits before them on the same poset from their one-entry
+    per-poset memos.
     """
     flags = {name: r.holds for name, r in op_reports(op).items()}
     try:
-        odot_table, arrow_table = op_tables(op)
+        (a1, _), (a2, _) = check_directions(op)
     except UndefinedOperationError:
         a1 = a2 = total = False
     else:
-        (a1, _), (a2, _) = check_directions(op, (odot_table.cells, arrow_table.cells))
         total = True
     flags["total"] = total
     flags["a1"] = a1

@@ -4,14 +4,15 @@ Two jobs dominate runtime: enumerating every labeled order relation on a
 small carrier, and evaluating the full flag vector (orthogonality,
 complementation, adjointness directions, the six conditions, ...) for one
 (poset, unary map) instance. Both work on plain ints used as bitmasks, over
-per-poset tables that ``pack_poset`` builds once and every map on the poset
+per-poset state that ``pack_poset`` builds once and every map on the poset
 shares; the flags are isomorphism invariants, so the copies of one frame from
-``enumerate_posets`` share its tables, read through ``to_frame``. The core
-modules never depend on this file, so every kernel result can be replayed on them.
+``enumerate_posets`` are evaluated on the frame, through
+``Poset.frame_instance``. The core modules never depend on this file, so
+every kernel result can be replayed on them.
 
 The cell x (.) y reads no image but that of y, and x (->) y none but that
 of x, so most flags are an AND, over the elements, of predicates on one
-(element, image) pair, memoized on the packed poset (see ``instance_flags``).
+(element, image) pair, memoized on the frame (see ``instance_flags``).
 The whole flag bitfield of a map is memoized too, per frame instance (the
 map moved onto the frame), so the copies of a frame evaluate each of its
 instances once. Only complemented instances are stored: they are the ones
@@ -20,11 +21,8 @@ however many other maps a search or an all-map sweep tries.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
-
 from .adjoint import CONDITION_KEYS, EQUIVALENCE_GROUPS
-from .poset_core import Poset, PosetError, indices_of, iter_mask, moved_map
+from .poset_core import Poset, PosetError, indices_of, iter_mask
 
 # The one name <-> bit table of the instance flags: bit i is the i-th name.
 # The sweep digests pin these bits, so the order never changes.
@@ -35,6 +33,7 @@ FLAGS = {
         + ("a1", "a2") + CONDITION_KEYS
     )
 }
+# Read only by perfbench/, until its revision (ROADMAP item 5) reads FLAGS.
 FLAG_ORTHOGONAL = FLAGS["orthogonal"]
 
 # Bits that hold only when the instance's operations are total.
@@ -50,42 +49,28 @@ def active_backend() -> str:
     return "python"
 
 
-@dataclass(frozen=True)
-class PackedPoset:
-    """What the flag kernel adds to a poset, shared by every unary map on it.
+def pack_poset(p: Poset) -> Poset:
+    """Build the kernel state of p, on its frame for a copy, and return p.
 
-    ``poset`` is the poset itself, or the frame of a copy whose ``to_frame``
-    is set: its rows, join/meet tables and Min U/Max L masks are read there.
+    The state ``(above, entries, memo)`` lives in the ``_packed`` slot of a
+    poset without a frame or of a frame, and a copy builds none of its own.
     ``above[x]`` lists the indices of every y with x <= y. ``entries[e][v]``
     memoizes the per-element flag bits of element e with image v (see
     ``instance_flags``); each slot stays None until first use. ``memo`` maps
-    the frame-labelled map of each complemented instance evaluated so far to
-    its flag bits. One is built per poset without a frame or per frame, and
-    kept on it as ``_packed``; a copy's state is that one with ``to_frame``
-    set, sharing its ``entries`` and ``memo``.
+    each complemented frame instance evaluated so far to its flag bits.
     """
-
-    poset: Poset
-    above: tuple[tuple[int, ...], ...]
-    entries: list[list[Optional[int]]] = field(compare=False, repr=False)
-    to_frame: Optional[tuple[int, ...]] = None
-    memo: dict[tuple[int, ...], int] = field(default_factory=dict, compare=False, repr=False)
-
-
-def pack_poset(p: Poset) -> PackedPoset:
-    """The kernel state of p, built once on p, or on its frame for a copy."""
     f = p.frame or p
     if f._packed is None:
-        f._packed = PackedPoset(f, tuple(map(indices_of, f.up)), [[None] * f.n for _ in range(f.n)])
-    return f._packed if f is p else replace(f._packed, to_frame=p.to_frame)
+        f._packed = (tuple(map(indices_of, f.up)), [[None] * f.n for _ in range(f.n)], {})
+    return p
 
 
-def instance_flags(packed: PackedPoset, prime) -> int:
+def instance_flags(p: Poset, prime) -> int:
     """Flag bitfield for one (poset, unary map) instance.
 
     Every flag but antitone, involution and orthomodular says "P(e, e') for
     every e" for a predicate P that reads no image but that of e, so it is
-    exactly the AND of ``packed.entries[e][prime[e]]`` over the elements:
+    exactly the AND of ``entries[e][prime[e]]`` over the elements:
 
     - orthogonal: a <= e needs a v e', and e' <= b needs e ^ b;
     - complemented: e v e' is the top and e ^ e' the bottom;
@@ -101,42 +86,42 @@ def instance_flags(packed: PackedPoset, prime) -> int:
     proposition) before reading them.
 
     Every bit is an isomorphism invariant, so a copy is evaluated on its
-    frame under the moved map, and the result of a complemented instance is
-    kept in ``packed.memo`` for the frame's other copies. The map is
-    validated before the lookup, on every call.
+    frame under the moved map (``Poset.frame_instance``), and the result of
+    a complemented instance is kept in the frame's ``memo`` for its other
+    copies. The map is validated before the lookup, on every call.
     """
-    p = packed.poset
     n = p.n
     if len(prime) != n:
         raise PosetError("prime map length does not match the carrier")
     if min(prime) < 0 or max(prime) >= n:
         raise PosetError("prime map sends an element outside the carrier")
-    s = packed.to_frame
-    # a copy: the same flags as its frame under the moved map
-    prime = tuple(prime if s is None else moved_map(s, prime))
-    flags = packed.memo.get(prime)
+    f, prime = p.frame_instance(prime)
+    if f._packed is None:
+        pack_poset(f)
+    above, entries, memo = f._packed
+    flags = memo.get(prime)
     if flags is not None:
         return flags
     flags = -1  # a poset has an element, so the AND keeps only entry bits
-    for e, (row, v) in enumerate(zip(packed.entries, prime)):
+    for e, (row, v) in enumerate(zip(entries, prime)):
         if row[v] is None:
-            row[v] = _entry(packed, e, v)
+            row[v] = _entry(f, above, e, v)
         flags &= row[v]
-    up = p.up
-    anti = all((up[prime[y]] >> prime[x]) & 1 for x, y in p.covers())
+    up = f.up
+    anti = all((up[prime[y]] >> prime[x]) & 1 for x, y in f.covers())
     inv = all(prime[v] == x for x, v in enumerate(prime))
     if anti:
         flags |= FLAGS["antitone"]
     if inv:
         flags |= FLAGS["involution"]
     if flags & FLAGS["complemented"]:
-        if anti and inv and _orthomodular(packed, prime):
+        if anti and inv and _orthomodular(f, above, prime):
             flags |= FLAGS["orthomodular"]
-        packed.memo[prime] = flags
+        memo[prime] = flags
     return flags
 
 
-def _entry(packed: PackedPoset, e: int, v: int) -> int:
+def _entry(p: Poset, above, e: int, v: int) -> int:
     """Bits of the per-element predicates of element e with image v.
 
     An entry whose own cells are partial holds no a1/a2/condition bit, so
@@ -146,15 +131,14 @@ def _entry(packed: PackedPoset, e: int, v: int) -> int:
     past the totality gate every e' v t with t <= e and every e ^ t with
     e' <= t exists, and these are the only joins and meets read there.
     """
-    p = packed.poset
     n = p.n
     rng = range(n)
-    up, down, above = p.up, p.down, packed.above
+    up, down = p.up, p.down
     join_v, meet_e = p.join_table[v], p.meet_table[e]
     min_upper, max_lower_e = p.min_upper, p.max_lower[e]
     bits = 0
     if None not in [join_v[a] for a in iter_mask(down[e])] + [meet_e[b] for b in above[v]]:
-        bits |= FLAG_ORTHOGONAL
+        bits |= FLAGS["orthogonal"]
     if join_v[e] == p.top and meet_e[v] == p.bottom:
         bits |= FLAGS["complemented"]
 
@@ -205,11 +189,11 @@ def _entry(packed: PackedPoset, e: int, v: int) -> int:
     return bits
 
 
-def _orthomodular(packed: PackedPoset, prime) -> bool:
+def _orthomodular(p: Poset, above, prime) -> bool:
     """x <= y implies y = x v (y' v x)', every join defined."""
-    join = packed.poset.join_table
-    for x in range(packed.poset.n):
-        for y in packed.above[x]:
+    join = p.join_table
+    for x in range(p.n):
+        for y in above[x]:
             j1 = join[prime[y]][x]
             if j1 is None or join[x][prime[j1]] != y:
                 return False

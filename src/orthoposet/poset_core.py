@@ -53,15 +53,6 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(iter_mask(mask))
 
 
-def moved_map(to_frame: Sequence[int], prime: Sequence[int]) -> list[int]:
-    """A copy's map moved onto its frame: frame element ``to_frame[i]`` goes
-    to ``to_frame[prime[i]]``."""
-    moved = [0] * len(prime)
-    for i, v in enumerate(prime):
-        moved[to_frame[i]] = to_frame[v]
-    return moved
-
-
 def add_cover(up: list[int], i: int, j: int) -> None:
     """Add i <= j to the up rows of a reflexive-transitive relation, in place.
 
@@ -175,10 +166,16 @@ class Poset:
 
     def frame_instance(self, prime: Sequence[int]) -> tuple["Poset", tuple[int, ...]]:
         """``(frame, moved map)`` of the map ``prime`` on a copy, isomorphic
-        to ``(self, prime)``; ``(self, prime)`` itself on a poset without a frame."""
-        if self.frame is None:
+        to ``(self, prime)``: frame element ``to_frame[i]`` goes to
+        ``to_frame[prime[i]]``. ``(self, prime)`` itself on a poset without a
+        frame. The one relabeling, for the flag kernel and for verify."""
+        s = self.to_frame
+        if s is None:
             return self, tuple(prime)
-        return self.frame, tuple(moved_map(self.to_frame, prime))
+        moved = [0] * self.n
+        for i, v in enumerate(prime):
+            moved[s[i]] = s[v]
+        return self.frame, tuple(moved)
 
     # -- element and subset plumbing --------------------------------------
 

@@ -74,44 +74,30 @@ def sasaki_proj_set(op: OpPoset, a: int, subset: int) -> int:
 
 
 @functools.lru_cache(maxsize=1)
-def _line_memo(p: Poset) -> dict[str, dict]:
-    """Per-kind memo of the table lines of p, one-entry as
-    ``properties.poset_reports``: a search streams every hit on one poset in
-    a row, and the lines of its maps repeat."""
-    return {"odot": {}, "arrow": {}}
+def _line_memo(p: Poset) -> dict:
+    """Memo of the table lines of p, one-entry as ``properties.poset_reports``:
+    a search streams every hit on one poset in a row, and the lines of its
+    maps repeat."""
+    return {}
 
 
-def _line(op: OpPoset, kind: str, i: int):
-    """``(cells, None)`` for column i of the odot table or row i of the
-    arrow table, or ``(None, ((x, y), kind, left, right))`` at its first
-    undefined cell (x, y). Either line reads only i and its image."""
+def _line(op: OpPoset, i: int):
+    """``((odot column i, arrow row i), None)``, which read no image but i's,
+    or ``(None, fault)`` at the first undefined cell (x, y) of the column,
+    else of the row: ``fault = (table, (x, y), kind, left, right)`` with
+    table 0 for odot and 1 for arrow, so ``min`` ranks every odot fault
+    first and the row of a faulty column is never needed."""
     rng = range(op.poset.n)
-    cell, pairs = (odot, [(j, i) for j in rng]) if kind == "odot" else (arrow, [(i, j) for j in rng])
-    cells = []
-    for x, y in pairs:
-        try:
-            cells.append(cell(op, x, y))
-        except UndefinedOperationError as exc:
-            return None, ((x, y), exc.kind, exc.left, exc.right)
-    return tuple(cells), None
-
-
-def _lines(op: OpPoset, kind: str) -> list[tuple]:
-    """Every line of one table, each built once per (element, image) of
-    the poset; raises UndefinedOperationError on its x-major first
-    undefined cell."""
-    memo = _line_memo(op.poset)[kind]
     lines = []
-    for key in enumerate(op.prime):
-        line = memo.get(key)
-        if line is None:
-            line = memo[key] = _line(op, kind, key[0])
-        lines.append(line)
-    faults = [fault for _, fault in lines if fault]
-    if faults:
-        _, missing, left, right = min(faults)
-        raise UndefinedOperationError(missing, left, right, op.poset)
-    return [cells for cells, _ in lines]
+    for table, (cell, pairs) in enumerate(((odot, [(j, i) for j in rng]), (arrow, [(i, j) for j in rng]))):
+        cells = []
+        for x, y in pairs:
+            try:
+                cells.append(cell(op, x, y))
+            except UndefinedOperationError as exc:
+                return None, (table, (x, y), exc.kind, exc.left, exc.right)
+        lines.append(tuple(cells))
+    return lines, None
 
 
 def op_tables(op: OpPoset) -> tuple[OpTable, OpTable]:
@@ -119,13 +105,23 @@ def op_tables(op: OpPoset) -> tuple[OpTable, OpTable]:
     cell that needs a missing meet or join, x-major over odot and then over
     arrow.
 
-    Column y of odot reads only y', and row x of arrow only x', so both are
-    built from lines memoized per (element, image) of the poset.
+    Column i of odot and row i of arrow read no image but i', so one memo
+    entry per (element, image) of the poset holds both.
     """
     p = op.poset
-    ocells = tuple(zip(*_lines(op, "odot")))
-    acells = tuple(_lines(op, "arrow"))
-    return OpTable("odot", p, ocells), OpTable("arrow", p, acells)
+    memo = _line_memo(p)
+    lines = []
+    for key in enumerate(op.prime):
+        line = memo.get(key)
+        if line is None:
+            line = memo[key] = _line(op, key[0])
+        lines.append(line)
+    faults = [fault for _, fault in lines if fault]
+    if faults:
+        _, _, missing, left, right = min(faults)
+        raise UndefinedOperationError(missing, left, right, p)
+    columns, rows = zip(*(pair for pair, _ in lines))
+    return OpTable("odot", p, tuple(zip(*columns))), OpTable("arrow", p, rows)
 
 
 def is_sasaki_total(op: OpPoset) -> bool:

@@ -81,7 +81,7 @@ def sweep_instances(progress: Progress = None) -> list[Instance]:
     for n in range(1, 6):
         kept = 0
         for _, p, prime, bits in sweep(pool[n], complementations):
-            if bits & kernels.FLAG_ORTHOGONAL:
+            if bits & kernels.FLAGS["orthogonal"]:
                 out.append((p, prime, bits))
                 kept += 1
         if progress:
@@ -248,43 +248,41 @@ def _criterion_7(progress: Progress) -> tuple[bool, str]:
     return True, f"{omod} orthomodular sweep instances plus fixtures, all adjoint"
 
 
+def _once_per_frame_instance(instances, checker, what: str, passed: str) -> tuple[bool, str]:
+    """Run ``checker`` once per distinct frame instance of the labeled
+    ``(poset, prime, bits)`` instances. A failure is rerun on the first
+    labeled copy that reached it, so the detail names that copy's witness."""
+    seen = set()
+    for p, prime, _ in instances:
+        if (key := p.frame_instance(prime)) not in seen:
+            seen.add(key)
+            if not checker(OpPoset(*key)).holds:
+                rep = checker(OpPoset(p, prime))
+                return False, f"{what} fails on n={p.n} prime={prime}: {rep.describe(p)}"
+    return True, passed
+
+
 def _criterion_8(progress: Progress) -> tuple[bool, str]:
     complemented = sweep_instances(progress)
-    arbitrary = [inst for inst in all_map_instances() if inst[2] & kernels.FLAG_ORTHOGONAL]
+    arbitrary = [inst for inst in all_map_instances() if inst[2] & kernels.FLAGS["orthogonal"]]
     directions = kernels.FLAGS["a1"] | kernels.FLAGS["a2"]
-    seen = set()
-    for p, prime, bits in complemented + arbitrary:
-        # a map with neither direction has no consequence to check
-        if bits & directions and (key := p.frame_instance(prime)) not in seen:
-            seen.add(key)
-            if not check_adjointness_consequences(OpPoset(*key)).holds:
-                rep = check_adjointness_consequences(OpPoset(p, prime))
-                return False, f"consequence fails on n={p.n} prime={prime}: {rep.describe(p)}"
-    return True, (
-        f"{len(complemented)} complemented + {len(arbitrary)} arbitrary-map orthogonal instances"
-    )
+    # a map with neither direction has no consequence to check
+    checked = [inst for inst in complemented + arbitrary if inst[2] & directions]
+    passed = f"{len(complemented)} complemented + {len(arbitrary)} arbitrary-map orthogonal instances"
+    return _once_per_frame_instance(checked, check_adjointness_consequences, "consequence", passed)
 
 
 def _criterion_9(progress: Progress) -> tuple[bool, str]:
-    checked = 0
-    omod = 0
-    seen = set()
-    for p, prime, bits in sweep_instances(progress):
-        if (key := p.frame_instance(prime)) not in seen:
-            seen.add(key)
-            if not check_projection_laws(OpPoset(*key)).holds:
-                rep = check_projection_laws(OpPoset(p, prime))
-                return False, f"projection law fails on n={p.n} prime={prime}: {rep.describe(p)}"
-        checked += 1
-        if bits & kernels.FLAGS["orthomodular"]:
-            omod += 1
-    return True, f"{checked} orthogonal instances ({omod} orthomodular) pass"
+    instances = sweep_instances(progress)
+    omod = sum(1 for _, _, bits in instances if bits & kernels.FLAGS["orthomodular"])
+    passed = f"{len(instances)} orthogonal instances ({omod} orthomodular) pass"
+    return _once_per_frame_instance(instances, check_projection_laws, "projection law", passed)
 
 
 def _criterion_10(progress: Progress) -> tuple[bool, str]:
     instances = all_map_instances()
     for p, prime, bits in instances:
-        if bool(bits & kernels.FLAGS["total"]) != bool(bits & kernels.FLAG_ORTHOGONAL):
+        if bool(bits & kernels.FLAGS["total"]) != bool(bits & kernels.FLAGS["orthogonal"]):
             return False, f"totality/orthogonality split on n={p.n} prime={prime}"
     replayed = 0
     for p, prime, _ in instances[::97]:

@@ -91,7 +91,7 @@ def _criterion_corpus(number):
     """The labeled (poset, prime) instances criterion 8 or 9 checks, in sweep order."""
     if number == 9:
         return [(p, prime) for p, prime, _ in verify.sweep_instances()]
-    arbitrary = [inst for inst in verify.all_map_instances() if inst[2] & kernels.FLAG_ORTHOGONAL]
+    arbitrary = [inst for inst in verify.all_map_instances() if inst[2] & kernels.FLAGS["orthogonal"]]
     directions = kernels.FLAGS["a1"] | kernels.FLAGS["a2"]
     return [(p, prime) for p, prime, bits in verify.sweep_instances() + arbitrary if bits & directions]
 

@@ -18,7 +18,7 @@ from orthoposet import adjoint, kernels, verify
 from orthoposet.enumeration import enumerate_posets
 from orthoposet.poset_core import OpPoset, PosetError
 from orthoposet.properties import is_lattice, is_orthogonal
-from orthoposet.sasaki import arrow, is_sasaki_total, odot
+from orthoposet.sasaki import OpTable, arrow, is_sasaki_total, odot, op_tables
 
 from conftest import non_lattice_maps, two_chain
 
@@ -107,18 +107,6 @@ def test_direction_witnesses_replay_and_are_first():
         for (_, wit), violation in zip(want, (A1_VIOLATION, A2_VIOLATION)):
             if wit is not None:
                 assert direction_sides(op, wit) == violation
-
-
-def test_substituted_cells_are_never_served_stale(m3):
-    # a slice is memoized under its contents, so other cells on the same
-    # poset are decided afresh
-    p = m3.poset
-    ocells, acells = adjoint._tables(m3)
-    bottom_everywhere = ((1 << p.bottom,) * p.n,) * p.n
-    top_everywhere = ((1 << p.top,) * p.n,) * p.n
-    for cells in ((ocells, acells), (bottom_everywhere, acells), (ocells, top_everywhere), (ocells, acells)):
-        assert check_directions(m3, cells) == _first_violations(p, *cells)
-    assert is_adjoint_pair(m3).adjoint
 
 
 def test_adjoint_reports_pinned(fixture_ops):
@@ -219,10 +207,10 @@ def test_modular_corollary(m3, cube8, ex1, pentagon):
 ])
 def test_consequence_failures_name_their_condition(condition, prime, a1, a2, witness, monkeypatch):
     op = two_chain(prime)
-    ocells, _ = adjoint._tables(op)
-    top_everywhere = ((1 << op.poset.top,) * 2,) * 2
-    monkeypatch.setattr(adjoint, "_tables", lambda op: (ocells, top_everywhere))
-    monkeypatch.setattr(adjoint, "check_directions", lambda op, cells: ((a1, None), (a2, None)))
+    odot_table, _ = op_tables(op)
+    top_everywhere = OpTable("arrow", op.poset, ((1 << op.poset.top,) * 2,) * 2)
+    monkeypatch.setattr(adjoint, "op_tables", lambda op: (odot_table, top_everywhere))
+    monkeypatch.setattr(adjoint, "check_directions", lambda op: ((a1, None), (a2, None)))
     rep = check_adjointness_consequences(op)
     assert not rep.holds and rep.property == "adjointness_consequences"
     assert rep.witness.condition == condition

@@ -10,7 +10,14 @@ import pytest
 
 from orthoposet import kernels, verify
 from orthoposet.adjoint import EQUIVALENCE_GROUPS, is_adjoint_pair
-from orthoposet.enumeration import all_maps, complementations, enumerate_posets, instance_flag_map, sweep
+from orthoposet.enumeration import (
+    all_maps,
+    complement_candidates,
+    complementations,
+    enumerate_posets,
+    instance_flag_map,
+    sweep,
+)
 from orthoposet.poset_core import CARRIER_CAP, OpPoset, Poset, PosetError, indices_of
 from orthoposet.properties import is_lattice
 
@@ -41,17 +48,29 @@ def test_active_backend_is_valid():
 
 def test_pack_poset_tables(ex1):
     p = ex1.poset
-    packed = kernels.pack_poset(p)
-    assert packed.poset is p and packed.to_frame is None
-    assert packed.above == tuple(indices_of(row) for row in p.up)
+    assert kernels.pack_poset(p) is p
+    above, _, _ = p._packed
+    assert above == tuple(indices_of(row) for row in p.up)
     # one state per poset without a frame, and one per frame for all its copies
     q = Poset(p.names, p.up)
-    assert kernels.pack_poset(q) is kernels.pack_poset(q)
-    copy = list(enumerate_posets(4))[7]
-    shared = kernels.pack_poset(copy)
-    assert shared.poset is copy.frame and shared.to_frame == copy.to_frame
-    assert kernels.pack_poset(copy.frame).entries is shared.entries
-    assert kernels.pack_poset(copy.frame).memo is shared.memo
+    kernels.pack_poset(q)
+    state = q._packed
+    assert kernels.pack_poset(q) is q and q._packed is state
+    posets = list(enumerate_posets(4))
+    copy = posets[7]
+    assert kernels.pack_poset(copy) is copy
+    state = copy.frame._packed
+    assert copy._packed is None and state is not None
+    other = next(c for c in posets if c.frame is copy.frame and c is not copy)
+    kernels.pack_poset(other)
+    assert other._packed is None and copy.frame._packed is state
+    # a copy that was never packed: instance_flags builds its frame's state
+    fresh = next(c for c in enumerate_posets(4) if c.frame is not None and all(complement_candidates(c)))
+    assert fresh.frame._packed is None
+    prime = next(complementations(0, fresh))
+    bits = kernels.instance_flags(fresh, prime)
+    assert fresh._packed is None
+    assert fresh.frame._packed[2] == {fresh.frame_instance(prime)[1]: bits}
 
 
 def test_flags_match_core_deciders():
@@ -159,13 +178,14 @@ def test_entries_filled_lazily_and_in_any_order(ex1):
     # a poset of its own: ex1's state keeps the entries other tests fill
     packed = kernels.pack_poset(Poset(ex1.poset.names, ex1.poset.up))
     kernels.instance_flags(packed, ex1.prime)
-    filled = [(e, v) for e, row in enumerate(packed.entries) for v, bits in enumerate(row) if bits is not None]
+    _, entries, _ = packed._packed
+    filled = [(e, v) for e, row in enumerate(entries) for v, bits in enumerate(row) if bits is not None]
     assert filled == list(enumerate(ex1.prime))
     for n in (3, 4):
         for p in enumerate_posets(n):
             maps = list(itertools.product(range(n), repeat=n))
-            # the copy's pack shares its frame's entries; the frameless
-            # poset's pack starts empty and is filled in reverse map order
+            # the copy reads its frame's entries; the frameless poset's own
+            # start empty and are filled in reverse map order
             forward, backward = kernels.pack_poset(p), kernels.pack_poset(Poset(p.names, p.up))
             want = [kernels.instance_flags(forward, prime) for prime in maps]
             got = [kernels.instance_flags(backward, prime) for prime in reversed(maps)]
@@ -180,11 +200,11 @@ def test_entry_total_iff_orthogonal():
     entries = split = 0
     for n in range(1, 7):
         for p in dict.fromkeys(q.frame or q for q in enumerate_posets(n)):
-            packed = kernels.pack_poset(p)
+            above, _, _ = kernels.pack_poset(p)._packed
             for e, v in itertools.product(range(n), repeat=2):
-                bits = kernels._entry(packed, e, v)
+                bits = kernels._entry(p, above, e, v)
                 entries += 1
-                split += bool(bits & kernels.FLAGS["total"]) != bool(bits & kernels.FLAG_ORTHOGONAL)
+                split += bool(bits & kernels.FLAGS["total"]) != bool(bits & kernels.FLAGS["orthogonal"])
     assert entries == 8421
     assert split == 0
 
@@ -211,19 +231,19 @@ def test_frame_sharing_changes_no_bit():
             alone = Poset(p.names, p.up)
             assert alone.frame is None and (p.frame is None) == (n == 1)
             shared, fresh = kernels.pack_poset(p), kernels.pack_poset(alone)
-            assert fresh.poset is alone and fresh.to_frame is None
+            assert fresh is alone and alone._packed is not None
             for prime in maps:
                 bits = kernels.instance_flags(shared, prime)
                 assert bits == kernels.instance_flags(fresh, prime), (p.up, prime)
                 instances += 1
                 partial += not bits & kernels.FLAGS["total"]
                 if n <= 5:
-                    frames.add(shared.poset)
+                    frames.add(p.frame or p)
                     complemented += bool(bits & kernels.FLAGS["complemented"])
     assert instances == ALL_MAPS_N4_ROWS + 400 + 180 * 6
     assert partial > 0
     # the copies repeat frame instances: 415 complemented ones are 23 on frames
-    memoized = sum(len(kernels.pack_poset(frame).memo) for frame in frames)
+    memoized = sum(len(frame._packed[2]) for frame in frames)
     assert (memoized, complemented) == (23, 415)
 
 
@@ -234,9 +254,9 @@ def test_sweep_fills_each_frame_entry_once(monkeypatch):
     calls = []
     entry = kernels._entry
 
-    def counting_entry(packed, e, v):
-        calls.append((packed.poset, e, v))
-        return entry(packed, e, v)
+    def counting_entry(p, above, e, v):
+        calls.append((p, e, v))
+        return entry(p, above, e, v)
 
     monkeypatch.setattr(kernels, "_entry", counting_entry)
     frames = [p.frame for _, p, _, _ in sweep(enumerate_posets(6), complementations)]
@@ -244,7 +264,7 @@ def test_sweep_fills_each_frame_entry_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 662
     assert {frame for frame, _, _ in calls} == set(frames)
     assert len(set(frames)) == 73
-    assert sum(len(kernels.pack_poset(frame).memo) for frame in set(frames)) == 849
+    assert sum(len(frame._packed[2]) for frame in set(frames)) == 849
 
 
 def test_memo_holds_only_complementations():
@@ -253,8 +273,8 @@ def test_memo_holds_only_complementations():
     frames = {p.frame or p for _, p, _, _ in sweep(enumerate_posets(4), all_maps)}
     assert len(frames) == 3
     for frame in frames:
-        assert set(kernels.pack_poset(frame).memo) == set(complementations(0, frame)), frame.up
-    assert sum(len(kernels.pack_poset(frame).memo) for frame in frames) > 0
+        assert set(frame._packed[2]) == set(complementations(0, frame)), frame.up
+    assert sum(len(frame._packed[2]) for frame in frames) > 0
 
 
 def test_bad_prime_on_a_copy_rejected_after_its_instance_is_memoized():
@@ -262,7 +282,7 @@ def test_bad_prime_on_a_copy_rejected_after_its_instance_is_memoized():
     packed = kernels.pack_poset(copy)
     prime = next(complementations(0, copy))
     bits = kernels.instance_flags(packed, prime)
-    assert packed.memo[copy.frame_instance(prime)[1]] == bits
+    assert copy.frame._packed[2][copy.frame_instance(prime)[1]] == bits
     # -n + v indexes the move like v, so only the validation can refuse it
     wrapped = (prime[0] - 4,) + prime[1:]
     for bad in (wrapped, prime[:3], prime + (0,)):
@@ -286,7 +306,7 @@ def test_pack_poset_at_the_carrier_cap():
 def test_flags_gate_on_totality(butterfly):
     packed = kernels.pack_poset(butterfly.poset)
     bits = kernels.instance_flags(packed, butterfly.prime)
-    assert not bits & kernels.FLAG_ORTHOGONAL
+    assert not bits & kernels.FLAGS["orthogonal"]
     assert not bits & kernels.FLAGS["total"]
     # direction and condition bits stay unset when the operations are partial
     for group in EQUIVALENCE_GROUPS:

@@ -47,7 +47,7 @@ def test_sweep6_pinned(sweep6):
 def test_direction_condition_equivalences_at_n6(sweep6):
     count = 0
     for _, p, prime, bits in sweep6:
-        if not bits & kernels.FLAG_ORTHOGONAL:
+        if not bits & kernels.FLAGS["orthogonal"]:
             continue
         for group in EQUIVALENCE_GROUPS:
             assert len({bool(bits & kernels.FLAGS[name]) for name in group}) == 1, (p, prime, group)
