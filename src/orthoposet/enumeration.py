@@ -27,15 +27,14 @@ SEARCH_FLAGS = PROPERTY_NAMES + ("total", "a1", "a2", "adjoint")
 
 
 def enumerate_relations(n: int) -> Iterator[tuple[int, ...]]:
-    """Up-row tuples of every labeled poset on n elements, each exactly once."""
-    for code in kernels.relation_codes(n):
-        yield kernels.decode_relation(code, n)
+    """Up-row tuples of every labeled poset on n elements, once each, by orientation code."""
+    yield from kernels.relation_rows(n)
 
 
 def enumerate_posets(n: int) -> Iterator[Poset]:
     """Every labeled *bounded* poset on n elements, as Poset values.
 
-    The order is bottom x top x ``relation_codes(n - 2)`` on the elements in
+    The order is bottom x top x ``relation_rows(n - 2)`` on the elements in
     between. Each middle relation is validated once, by the ``Poset``
     constructor on a frame: the relation on elements 0..n-3, with n-2 below
     and n-1 above them. Every poset yielded is a frame relabeled so that n-2
@@ -52,8 +51,8 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
     m = n - 2
     full = (1 << n) - 1
     frames = []
-    for code in kernels.relation_codes(m) if m else [0]:
-        rows = [row | 1 << (m + 1) for row in kernels.decode_relation(code, m)]
+    for middle in kernels.relation_rows(m) if m else [()]:
+        rows = [row | 1 << (m + 1) for row in middle]
         frame = Poset(names, rows + [full, 1 << (m + 1)])
         frames.append((frame, frame.up, frame.down))
     for bottom in range(n):

@@ -1,11 +1,13 @@
 """Hot kernels behind the enumeration sweeps and the model search.
 
-Two jobs dominate runtime: enumerating every labeled order relation on a
-small carrier, and evaluating the full flag vector (orthogonality,
-complementation, adjointness directions, the six conditions, ...) for one
-(poset, unary map) instance. Both work on plain ints used as bitmasks, over
-per-poset state that ``pack_poset`` builds once and every map on the poset
-shares; the flags are isomorphism invariants, so the copies of one frame from
+Two jobs dominate runtime, both on plain ints used as bitmasks. One is
+streaming every labeled order relation on a small carrier: ``relation_rows``
+yields each as up-row tuples, made in one extension step from a relation on
+one element fewer, and holds no list of them. The other is evaluating the
+full flag vector (orthogonality, complementation, adjointness directions,
+the six conditions, ...) for one (poset, unary map) instance, over per-poset
+state that ``pack_poset`` builds once and every map on the poset shares; the
+flags are isomorphism invariants, so the copies of one frame from
 ``enumerate_posets`` are evaluated on the frame, through
 ``Poset.frame_instance``. The core modules never depend on this file, so
 every kernel result can be replayed on them.
@@ -200,9 +202,9 @@ def _orthomodular(p: Poset, above, prime) -> bool:
     return True
 
 
-def relation_codes(n: int) -> list[int]:
-    """Packed relation codes (bit i*n+j set iff i <= j) of every labeled
-    poset on n elements, in orientation-code order.
+def relation_rows(n: int):
+    """Up-row tuples (bit j of row i set iff i <= j) of every labeled poset
+    on n elements, in orientation-code order.
 
     The orientation code of a relation has one base-3 digit per pair i < j,
     the pairs taken lexicographically from the least significant digit:
@@ -211,45 +213,44 @@ def relation_codes(n: int) -> list[int]:
     Element 0 goes into every poset on 1..n-1 (in that poset's order) above
     a down-set D and below an up-set U, with D entirely below U. The pairs
     (0, j) give the low digits, so the extensions of one poset are sorted by
-    sum(3^j for j in U) + sum(2 * 3^j for j in D), j in base numbering.
+    sum(3^j for j in U) + sum(2 * 3^j for j in D), j in base numbering, and
+    yielded before the next poset is read.
     """
     if not (1 <= n <= MAX_RELATION_N):
         raise PosetError(f"relation enumeration supports 1 <= n <= {MAX_RELATION_N}")
-    if n == 1:
-        return [1]
     m = n - 1
-    full = (1 << m) - 1
-    pow3 = [0] * (1 << m)  # pow3[S] = sum(3^j for j in S)
-    column = [0] * (1 << m)  # column[S]: bit 0 of the row of each j + 1 in S
-    for s in range(1, 1 << m):
-        j = (s & -s).bit_length() - 1
-        pow3[s] = pow3[s & (s - 1)] + 3 ** j
-        column[s] = column[s & (s - 1)] | 1 << ((j + 1) * n)
-    out = []
-    for base in relation_codes(m):
-        rows = decode_relation(base, m)
-        shifted = 0
-        for k, row in enumerate(rows):
-            shifted |= row << ((k + 1) * n + 1)
-        # down-sets: no element outside lies below an element inside
-        downsets = [
-            s for s in range(1 << m)
-            if not any(row & s and not (s >> k) & 1 for k, row in enumerate(rows))
-        ]
+    size = 1 << m
+    full = size - 1
+    pow3 = [sum(3 ** j for j in range(m) if s >> j & 1) for s in range(size)]
+    for rows in relation_rows(m) if m else [()]:
+        # per subset S, from S less its lowest bit: its up-closure and the elements above all of S
+        closure, common = [0] * size, [full] * size
+        for s in range(1, size):
+            row = rows[(s & -s).bit_length() - 1]
+            closure[s] = closure[s & (s - 1)] | row
+            common[s] = common[s & (s - 1)] & row
         extensions = []
-        for d in downsets:
-            allowed = full & ~d
-            for k in range(m):
-                if (d >> k) & 1:
-                    allowed &= rows[k]
-            for complement in downsets:
-                u = full ^ complement
-                if not u & ~allowed:
-                    extensions.append((pow3[u] + 2 * pow3[d], d, u))
+        for c in [s for s in range(size) if closure[s] == s]:  # the up-sets
+            d = full ^ c  # a down-set
+            # the base rows, shifted past element 0, which is above d
+            tail = tuple([row << 1 | (d >> k) & 1 for k, row in enumerate(rows)])
+            key = 2 * pow3[d]
+            # U ranges over the up-sets among the subsets of c above all of d
+            allowed = u = common[d] & c
+            while True:
+                if closure[u] == u:
+                    extensions.append((pow3[u] + key, (1 | u << 1,) + tail))
+                if not u:
+                    break
+                u = (u - 1) & allowed
         extensions.sort()
-        for _, d, u in extensions:
-            out.append(shifted | column[d] | 1 | u << 1)
-    return out
+        for _, relation in extensions:
+            yield relation
+
+
+def relation_codes(n: int) -> list[int]:
+    """``relation_rows(n)`` packed into ints, bit i*n+j set iff i <= j."""
+    return [sum(row << (i * n) for i, row in enumerate(rows)) for rows in relation_rows(n)]
 
 
 def decode_relation(code: int, n: int) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -58,8 +59,21 @@ def test_orientation_oracle_tests_each_triple_once_at_its_latest_pair(n):
             assert latest == k
 
 
+def _orientation_code(rows) -> int:
+    """One base-3 digit per pair i < j, lexicographic from the least
+    significant: 0 incomparable, 1 for i < j, 2 for j < i."""
+    code = 0
+    for place, (i, j) in enumerate(itertools.combinations(range(len(rows)), 2)):
+        if (rows[i] >> j) & 1:
+            code += 3 ** place
+        elif (rows[j] >> i) & 1:
+            code += 2 * 3 ** place
+    return code
+
+
 def test_relations_are_valid_partial_orders():
-    for n in range(1, 5):
+    for n in range(1, 6):
+        last = -1
         for rows in enumerate_relations(n):
             rel = naive.relation_pairs(rows)
             for i in range(n):
@@ -67,6 +81,22 @@ def test_relations_are_valid_partial_orders():
             for i, j in rel:
                 assert (j, i) not in rel or i == j
             assert naive._is_transitive(rel, n)
+            code = _orientation_code(rows)
+            assert code > last, "orientation codes must strictly increase"
+            last = code
+
+
+def test_relation_stream_holds_no_list():
+    # the 130,023 relations on six elements come one at a time from the
+    # extension step; a list of them would take several megabytes
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_relations(6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 130023
+    assert peak < 1 << 20
 
 
 def test_bounded_enumeration_matches_filter():
@@ -115,9 +145,8 @@ def test_enumerated_posets_pass_the_validating_constructor():
 
 
 def test_middle_relation_is_validated(monkeypatch):
-    # 0 < 1 < 2 without 0 < 2: rows {0, 1}, {1, 2}, {2} at 3 bits each
-    code = 0b011 | 0b110 << 3 | 0b100 << 6
-    monkeypatch.setattr(kernels, "relation_codes", lambda m: [code])
+    # 0 < 1 < 2 without 0 < 2: rows {0, 1}, {1, 2}, {2}
+    monkeypatch.setattr(kernels, "relation_rows", lambda m: [(0b011, 0b110, 0b100)])
     with pytest.raises(PosetError, match="transitive"):
         next(enumerate_posets(5))
 
