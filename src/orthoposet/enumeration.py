@@ -18,7 +18,7 @@ from .adjoint import check_directions
 from .poset_core import OpPoset, Poset, PosetError, UndefinedOperationError
 from .properties import PROPERTY_NAMES, is_lattice, is_modular, is_saturated, op_reports
 
-MAX_BOUNDED_N = 8
+MAX_BOUNDED_N = 8  # every row mask must fit one byte for enumerate_posets' translate table
 
 # Maps drawn per poset with n >= 5 when the goal leaves "complemented" out.
 MAP_SAMPLES = 512
@@ -39,8 +39,9 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
     constructor on a frame: the relation on elements 0..n-3, with n-2 below
     and n-1 above them. Every poset yielded is a frame relabeled so that n-2
     and n-1 land on the chosen bottom and top, and a relabeled valid order is
-    valid, so it is built by ``Poset._trusted`` without a second check. It
-    records its frame and ``to_frame``, one tuple per (bottom, top) pair.
+    valid, so it is built by ``Poset._trusted`` without a second check: its
+    rows are the frame's, kept as ``bytes``, through the (bottom, top) pair's
+    256-byte translate table, read in the pair's one ``to_frame`` order.
     """
     if not (1 <= n <= MAX_BOUNDED_N):
         raise PosetError(f"bounded enumeration supports 1 <= n <= {MAX_BOUNDED_N}")
@@ -54,23 +55,22 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
     for middle in kernels.relation_rows(m) if m else [()]:
         rows = [row | 1 << (m + 1) for row in middle]
         frame = Poset(names, rows + [full, 1 << (m + 1)])
-        frames.append((frame, frame.up, frame.down))
+        frames.append((frame, bytes(frame.up), bytes(frame.down)))
     for bottom in range(n):
         for top in range(n):
             if top == bottom:
                 continue
             # frame element k goes to target[k]; spread[S] is the frame subset S moved
             target = [i for i in range(n) if i not in (bottom, top)] + [bottom, top]
-            spread = [0] * (full + 1)
+            spread = bytearray(256)
             for s in range(1, full + 1):
                 j = (s & -s).bit_length() - 1
                 spread[s] = spread[s & (s - 1)] | 1 << target[j]
             to_frame = tuple(sorted(range(n), key=target.__getitem__))
             source = operator.itemgetter(*to_frame)
-            relabel = spread.__getitem__
             for frame, up, down in frames:
                 yield Poset._trusted(
-                    names, tuple(map(relabel, source(up))), tuple(map(relabel, source(down))),
+                    names, source(up.translate(spread)), source(down.translate(spread)),
                     bottom, top, frame, to_frame,
                 )
 

@@ -136,12 +136,41 @@ def test_bounded_enumeration_order_pinned():
     assert h.hexdigest() == BOUNDED_ORDER_SHA256
 
 
+def _maps_onto_frame(p) -> bool:
+    """Whether to_frame is an order isomorphism from p onto p.frame: a
+    permutation with i <= j in p exactly when to_frame[i] <= to_frame[j]."""
+    s = p.to_frame
+    return sorted(s) == list(range(p.n)) and all(
+        sum(1 << s[j] for j in range(p.n) if row >> j & 1) == p.frame.up[s[i]]
+        for i, row in enumerate(p.up)
+    )
+
+
 def test_enumerated_posets_pass_the_validating_constructor():
     for n in range(1, 7):
         for p in enumerate_posets(n):
             q = Poset(p.names, p.up)
             assert p == q
             assert (p.n, p.full, p.down, p.bottom, p.top) == (q.n, q.full, q.down, q.bottom, q.top)
+            assert n == 1 or _maps_onto_frame(p), (p.up, p.to_frame)
+
+
+def test_copies_at_n8_fill_the_translate_table(monkeypatch):
+    # n = 8 is the largest carrier, where rows reach 255, the last value a
+    # one-byte translate table holds; no full n = 8 stream runs in tier-1,
+    # so three middle relations on 6 elements go through all 56 pairs
+    chain = tuple(0b111111 & ~((1 << i) - 1) for i in range(6))
+    antichain = tuple(1 << i for i in range(6))
+    mixed = (0b010011, 0b000010, 0b011100, 0b011000, 0b010000, 0b100000)  # 0<1, 0<4, 2<3<4
+    monkeypatch.setattr(kernels, "relation_rows", lambda m: iter([antichain, chain, mixed]))
+    copies = list(enumerate_posets(8))
+    assert len(copies) == 56 * 3
+    assert len({(p.bottom, p.top) for p in copies}) == 56
+    assert max(max(p.up + p.down) for p in copies) == 255
+    for p in copies:
+        q = Poset(p.names, p.up)
+        assert (p.up, p.down, p.bottom, p.top) == (q.up, q.down, q.bottom, q.top)
+        assert _maps_onto_frame(p), (p.up, p.to_frame)
 
 
 def test_middle_relation_is_validated(monkeypatch):
