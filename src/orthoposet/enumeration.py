@@ -8,7 +8,6 @@ duplicate-free and cross-checked against the naive filters in tests.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -18,7 +17,7 @@ from .adjoint import check_directions
 from .poset_core import OpPoset, Poset, PosetError, UndefinedOperationError
 from .properties import PROPERTY_NAMES, is_lattice, is_modular, is_saturated, op_reports
 
-MAX_BOUNDED_N = 8  # every row mask must fit one byte for enumerate_posets' translate table
+MAX_BOUNDED_N = 8  # every row mask must fit one byte of enumerate_posets' row buffers
 
 # Maps drawn per poset with n >= 5 when the goal leaves "complemented" out.
 MAP_SAMPLES = 512
@@ -39,9 +38,10 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
     constructor on a frame: the relation on elements 0..n-3, with n-2 below
     and n-1 above them. Every poset yielded is a frame relabeled so that n-2
     and n-1 land on the chosen bottom and top, and a relabeled valid order is
-    valid, so it is built by ``Poset._trusted`` without a second check: its
-    rows are the frame's, kept as ``bytes``, through the (bottom, top) pair's
-    256-byte translate table, read in the pair's one ``to_frame`` order.
+    valid, so it is built by ``Poset._trusted`` without a second check. The
+    up rows of all frames are one ``bytes`` buffer, n bytes per frame, and
+    the down rows a second; each (bottom, top) pair translates both once
+    through its 256-byte table, and a copy's row i is column ``to_frame[i]``.
     """
     if not (1 <= n <= MAX_BOUNDED_N):
         raise PosetError(f"bounded enumeration supports 1 <= n <= {MAX_BOUNDED_N}")
@@ -51,11 +51,11 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
         return
     m = n - 2
     full = (1 << n) - 1
-    frames = []
-    for middle in kernels.relation_rows(m) if m else [()]:
-        rows = [row | 1 << (m + 1) for row in middle]
-        frame = Poset(names, rows + [full, 1 << (m + 1)])
-        frames.append((frame, bytes(frame.up), bytes(frame.down)))
+    frames = [Poset(names, [row | 1 << (m + 1) for row in middle] + [full, 1 << (m + 1)])
+              for middle in (kernels.relation_rows(m) if m else [()])]
+    ups = bytes(itertools.chain.from_iterable(frame.up for frame in frames))
+    downs = bytes(itertools.chain.from_iterable(frame.down for frame in frames))
+    trusted = Poset._trusted
     for bottom in range(n):
         for top in range(n):
             if top == bottom:
@@ -67,12 +67,11 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
                 j = (s & -s).bit_length() - 1
                 spread[s] = spread[s & (s - 1)] | 1 << target[j]
             to_frame = tuple(sorted(range(n), key=target.__getitem__))
-            source = operator.itemgetter(*to_frame)
-            for frame, up, down in frames:
-                yield Poset._trusted(
-                    names, source(up.translate(spread)), source(down.translate(spread)),
-                    bottom, top, frame, to_frame,
-                )
+            up, down = ups.translate(spread), downs.translate(spread)
+            copy_ups = zip(*[up[k::n] for k in to_frame])
+            copy_downs = zip(*[down[k::n] for k in to_frame])
+            for frame, copy_up, copy_down in zip(frames, copy_ups, copy_downs):
+                yield trusted(names, copy_up, copy_down, bottom, top, frame, to_frame)
 
 
 def complement_candidates(p: Poset) -> list[list[int]]:

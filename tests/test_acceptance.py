@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from orthoposet import kernels, verify
+from orthoposet import kernels, naive, verify
 from orthoposet.adjoint import check_adjointness_consequences
 from orthoposet.poset_core import OpPoset
 from orthoposet.properties import PropertyReport, fail
@@ -85,6 +85,18 @@ def test_verify_enumerates_each_carrier_once_per_process():
     # both modules' names are counted, so no sweep enumerates on its own
     out = subprocess.run([sys.executable, "-c", ENUMERATIONS], capture_output=True, text=True, check=True).stdout
     assert out == "[1, 2, 3, 4, 5]\n"
+
+
+def test_criterion_11_converts_each_pool_poset_once(monkeypatch):
+    # 10,000 probes draw from the pool's bounded posets with n <= 5; each
+    # drawn poset's up rows go to the naive oracle's pair set once per run
+    converted = []
+    real = naive.relation_pairs
+    monkeypatch.setattr(naive, "relation_pairs", lambda up: converted.append(up) or real(up))
+    result = verify.run_criterion(11)
+    assert (result.passed, result.detail) == (True, "10000 probes, 0 mismatches")
+    assert len(converted) == len(set(converted))
+    assert len(converted) <= sum(len(posets) for posets in verify._bounded_pool().values())
 
 
 def _criterion_corpus(number):

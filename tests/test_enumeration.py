@@ -155,6 +155,17 @@ def test_enumerated_posets_pass_the_validating_constructor():
             assert n == 1 or _maps_onto_frame(p), (p.up, p.to_frame)
 
 
+def test_copy_rows_are_int_tuples_with_the_constructors_repr():
+    # the sweep digests hash repr(p.up): a copy's rows must be tuples of int,
+    # as the validating constructor's are, not bytes read from a row buffer
+    for n in range(1, 7):
+        for p in enumerate_posets(n):
+            rows = (p.up, p.down)
+            assert all(type(r) is tuple and all(type(v) is int for v in r) for r in rows), rows
+            q = Poset(p.names, p.up)
+            assert repr(rows) == repr((q.up, q.down))
+
+
 def test_copies_at_n8_fill_the_translate_table(monkeypatch):
     # n = 8 is the largest carrier, where rows reach 255, the last value a
     # one-byte translate table holds; no full n = 8 stream runs in tier-1,
