@@ -11,12 +11,11 @@ schema. All witnesses are lexicographically first and replayable.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .poset_core import OpPoset, Poset, PosetError, iter_mask
+from .poset_core import OpPoset, PosetError, iter_mask
 from .properties import (
     PropertyReport,
     fail,
@@ -25,7 +24,7 @@ from .properties import (
     is_modular,
     is_orthogonal,
 )
-from .sasaki import arrow, odot, op_tables
+from .sasaki import arrow, lines, odot, op_tables
 
 # The paper's two groups of equivalent statements: each direction and the
 # three conditions that characterize it.
@@ -52,49 +51,17 @@ class AdjointReport:
         return {"a1": self.a1, "a2": self.a2, **self.conditions}
 
 
-@functools.lru_cache(maxsize=1)
-def _slice_memo(p: Poset) -> dict:
-    """Decided y-slices of p by (y, y'), one-entry as ``properties.poset_reports``."""
-    return {}
-
-
-def _slice(p: Poset, column, row):
-    """First a1 and first a2 violation (x, z), x-major, of one y-slice:
-    ``column`` is odot column y and ``row`` is arrow row y."""
-    w1 = w2 = None
-    for x, odot_xy in enumerate(column):
-        up_x = p.up[x]
-        for z, arrow_yz in enumerate(row):
-            below = bool(odot_xy & p.down[z])
-            if below == bool(arrow_yz & up_x):
-                continue
-            if below:
-                w1 = w1 or (x, z)
-            else:
-                w2 = w2 or (x, z)
-            if w1 and w2:
-                return w1, w2
-    return w1, w2
-
-
 def check_directions(op: OpPoset):
     """Both directions, one y-slice at a time; raises UndefinedOperationError
-    as ``op_tables`` does.
+    as ``sasaki.lines`` does.
 
     Slice y reads only odot column y and arrow row y, which read no image
-    but y', so it is decided once per (y, y') of the poset. Returns ((a1
-    holds, first a1 violation), (a2 holds, first a2 violation)), the first
-    being the least (x, y, z) over the slices.
+    but y', so ``sasaki.lines`` decides it with line y, once per (y, y') of
+    the poset. Returns ((a1 holds, first a1 violation), (a2 holds, first a2
+    violation)), the first being the least (x, y, z) over the slices.
     """
-    p = op.poset
-    odot_table, arrow_table = op_tables(op)
-    memo = _slice_memo(p)
     w1 = w2 = None
-    for y, py in enumerate(op.prime):
-        found = memo.get((y, py))
-        if found is None:
-            found = memo[y, py] = _slice(p, [row[y] for row in odot_table.cells], arrow_table.cells[y])
-        s1, s2 = found
+    for y, (_, _, s1, s2) in enumerate(lines(op)):
         # y ascends, so a tie in x keeps the earlier slice
         if s1 and (w1 is None or s1[0] < w1[0]):
             w1 = (s1[0], y, s1[1])

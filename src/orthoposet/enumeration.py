@@ -114,11 +114,10 @@ def instance_flag_map(op: OpPoset) -> dict[str, bool]:
     """Flag values for one instance, from the core deciders (the slow,
     witness-producing route). Used to replay search hits.
 
-    The property flags are ``op_reports``, whose poset-level part comes from
-    the one-entry cache of ``properties.poset_reports``; total/a1/a2/adjoint
-    come from one ``check_directions`` pass, which reads the lines and slices
-    of the hits before them on the same poset from their one-entry
-    per-poset memos.
+    The property flags are ``op_reports``; total/a1/a2/adjoint come from one
+    ``check_directions`` pass. Both read ``properties.poset_memo``, so the
+    hits on one poset, which arrive in a row, decide its poset-level reports
+    once and each of its (element, image) lines once.
     """
     flags = {name: r.holds for name, r in op_reports(op).items()}
     try:
@@ -150,15 +149,12 @@ def sweep(posets, maps) -> Iterator[tuple[int, Poset, tuple[int, ...], int]]:
     ``maps(index, poset)`` over ``enumerate(posets)``, for any iterable of
     bounded posets.
 
-    A poset is packed only when its first map arrives, so a source that
-    yields nothing for a poset costs no join/meet tables.
+    ``kernels.instance_flags`` packs a poset's frame on its first map, so a
+    source that yields nothing for a poset costs no join/meet tables.
     """
     for index, p in enumerate(posets):
-        packed = None
         for prime in maps(index, p):
-            if packed is None:
-                packed = kernels.pack_poset(p)
-            yield index, p, prime, kernels.instance_flags(packed, prime)
+            yield index, p, prime, kernels.instance_flags(p, prime)
 
 
 def _sampled_maps(goal: SearchGoal, index: int, p: Poset) -> Iterator[tuple[int, ...]]:

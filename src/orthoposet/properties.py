@@ -189,17 +189,21 @@ def is_lattice(p: Poset) -> PropertyReport:
 
 
 @functools.lru_cache(maxsize=1)
-def poset_reports(p: Poset) -> dict[str, PropertyReport]:
-    """The property profile that needs no unary operation.
+def poset_memo(p: Poset) -> dict:
+    """The slow path's one memo, for the last poset it saw: a search streams
+    every hit on one poset in a row. ``"reports"`` holds ``poset_reports(p)``
+    and (i, i') the Sasaki line of element i with image i' (``sasaki.lines``).
+    Its values are shared, so callers only read them."""
+    return {}
 
-    Keeps the last poset's profile in a one-entry cache: a search streams
-    every hit on one poset in a row. The dict is shared, so callers only read it.
-    """
-    return {
-        "saturated": is_saturated(p),
-        "modular": is_modular(p),
-        "lattice": is_lattice(p),
-    }
+
+def poset_reports(p: Poset) -> dict[str, PropertyReport]:
+    """The property profile that needs no unary operation, kept in ``poset_memo``."""
+    memo = poset_memo(p)
+    if "reports" not in memo:
+        memo["reports"] = {"saturated": is_saturated(p), "modular": is_modular(p),
+                           "lattice": is_lattice(p)}
+    return memo["reports"]
 
 
 def op_reports(op: OpPoset) -> dict[str, PropertyReport]:

@@ -12,11 +12,10 @@ comparison machinery downstream quantifies over their members directly.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .poset_core import OpPoset, Poset, PosetError, UndefinedOperationError, iter_mask
-from .properties import PropertyReport, fail, is_orthomodular
+from .properties import PropertyReport, fail, is_orthomodular, poset_memo
 
 
 @dataclass(frozen=True)
@@ -73,22 +72,33 @@ def sasaki_proj_set(op: OpPoset, a: int, subset: int) -> int:
     return out
 
 
-@functools.lru_cache(maxsize=1)
-def _line_memo(p: Poset) -> dict:
-    """Memo of the table lines of p, one-entry as ``properties.poset_reports``:
-    a search streams every hit on one poset in a row, and the lines of its
-    maps repeat."""
-    return {}
+def _slice(p: Poset, column, row):
+    """First a1 and first a2 violation (x, z), x-major, of one y-slice:
+    ``column`` is odot column y and ``row`` is arrow row y."""
+    w1 = w2 = None
+    for x, odot_xy in enumerate(column):
+        up_x = p.up[x]
+        for z, arrow_yz in enumerate(row):
+            below = bool(odot_xy & p.down[z])
+            if below == bool(arrow_yz & up_x):
+                continue
+            if below:
+                w1 = w1 or (x, z)
+            else:
+                w2 = w2 or (x, z)
+            if w1 and w2:
+                return w1, w2
+    return w1, w2
 
 
 def _line(op: OpPoset, i: int):
-    """``((odot column i, arrow row i), None)``, which read no image but i's,
-    or ``(None, fault)`` at the first undefined cell (x, y) of the column,
-    else of the row: ``fault = (table, (x, y), kind, left, right)`` with
-    table 0 for odot and 1 for arrow, so ``min`` ranks every odot fault
-    first and the row of a faulty column is never needed."""
+    """``((odot column i, arrow row i, *_slice of both), None)``, which read
+    no image but i's, or ``(None, fault)`` at the first undefined cell (x, y)
+    of the column, else of the row: ``fault = (table, (x, y), kind, left,
+    right)`` with table 0 for odot and 1 for arrow, so ``min`` ranks every
+    odot fault first and the row of a faulty column is never needed."""
     rng = range(op.poset.n)
-    lines = []
+    halves = []
     for table, (cell, pairs) in enumerate(((odot, [(j, i) for j in rng]), (arrow, [(i, j) for j in rng]))):
         cells = []
         for x, y in pairs:
@@ -96,38 +106,45 @@ def _line(op: OpPoset, i: int):
                 cells.append(cell(op, x, y))
             except UndefinedOperationError as exc:
                 return None, (table, (x, y), exc.kind, exc.left, exc.right)
-        lines.append(tuple(cells))
-    return lines, None
+        halves.append(tuple(cells))
+    return (*halves, *_slice(op.poset, *halves)), None
 
 
-def op_tables(op: OpPoset) -> tuple[OpTable, OpTable]:
-    """Both operation tables; raises UndefinedOperationError on the first
-    cell that needs a missing meet or join, x-major over odot and then over
-    arrow.
+def lines(op: OpPoset) -> list[tuple]:
+    """Per element i, ``(odot column i, arrow row i, w1, w2)``: w1 and w2
+    are the first a1 and the first a2 violation (x, z) of y-slice i, x-major,
+    or None. Raises UndefinedOperationError on the first cell that needs a
+    missing meet or join, x-major over odot and then over arrow.
 
-    Column i of odot and row i of arrow read no image but i', so one memo
-    entry per (element, image) of the poset holds both.
+    Column i of odot and row i of arrow read no image but i', and so does
+    slice i, so ``properties.poset_memo`` holds each line once per (element,
+    image) of the poset.
     """
     p = op.poset
-    memo = _line_memo(p)
-    lines = []
+    memo = poset_memo(p)
+    found = []
     for key in enumerate(op.prime):
         line = memo.get(key)
         if line is None:
             line = memo[key] = _line(op, key[0])
-        lines.append(line)
-    faults = [fault for _, fault in lines if fault]
+        found.append(line)
+    faults = [fault for _, fault in found if fault]
     if faults:
         _, _, missing, left, right = min(faults)
         raise UndefinedOperationError(missing, left, right, p)
-    columns, rows = zip(*(pair for pair, _ in lines))
-    return OpTable("odot", p, tuple(zip(*columns))), OpTable("arrow", p, rows)
+    return [line for line, _ in found]
+
+
+def op_tables(op: OpPoset) -> tuple[OpTable, OpTable]:
+    """Both operation tables, transposed from ``lines``; raises as it does."""
+    columns, rows, _, _ = zip(*lines(op))
+    return OpTable("odot", op.poset, tuple(zip(*columns))), OpTable("arrow", op.poset, rows)
 
 
 def is_sasaki_total(op: OpPoset) -> bool:
     """True when every cell of both operation tables is defined."""
     try:
-        op_tables(op)
+        lines(op)
     except UndefinedOperationError:
         return False
     return True

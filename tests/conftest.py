@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from orthoposet import adjoint, properties, sasaki
+from orthoposet import properties
 from orthoposet.enumeration import enumerate_posets
 from orthoposet.io_cli import document_to_op, load_fixture
 from orthoposet.poset_core import OpPoset, Poset
@@ -14,13 +14,12 @@ FIXTURE_NAMES = ("ex1", "m3", "fig3", "benzene", "cube8")
 
 
 @pytest.fixture(autouse=True)
-def _fresh_poset_memos():
-    """Empty the one-entry per-poset memos before each test. Slices are
-    keyed by (y, y'), not by their cells, so verdicts a test reads through a
-    substituted ``op_tables`` must not reach the next test on an equal poset."""
-    sasaki._line_memo.cache_clear()
-    adjoint._slice_memo.cache_clear()
-    properties.poset_reports.cache_clear()
+def _fresh_poset_memo():
+    """Empty the slow path's one-entry per-poset memo before each test. Its
+    lines and reports are keyed by the poset and (element, image), not by
+    the deciders that built them, so what a test builds through a
+    substituted decider must not reach the next test on an equal poset."""
+    properties.poset_memo.cache_clear()
 
 
 @pytest.fixture(scope="session")

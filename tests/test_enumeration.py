@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from orthoposet import adjoint, enumeration, kernels, naive, properties, sasaki
+from orthoposet import enumeration, kernels, naive, properties, sasaki
 from orthoposet.enumeration import (
     SEARCH_FLAGS,
     SearchGoal,
@@ -309,6 +309,12 @@ def test_search_skips_poset_deciders_the_goal_does_not_name(monkeypatch, require
     assert [(op.poset.up, op.prime) for op in search(goal)] == want
 
 
+def _complemented_frames(n):
+    """The frames of the posets on n elements that have a complementation,
+    in first-seen order; a poset without a frame is its own."""
+    return list(dict.fromkeys(p.frame or p for p in enumerate_posets(n) if all(complement_candidates(p))))
+
+
 def test_complemented_search_packs_only_complemented_posets(monkeypatch):
     packed = []
 
@@ -316,12 +322,11 @@ def test_complemented_search_packs_only_complemented_posets(monkeypatch):
         packed.append(p)
         return pack_poset(p)
 
-    pack_poset = enumeration.kernels.pack_poset
-    monkeypatch.setattr(enumeration.kernels, "pack_poset", counting_pack)
+    pack_poset = kernels.pack_poset
+    monkeypatch.setattr(kernels, "pack_poset", counting_pack)
     goal = SearchGoal(require=frozenset({"complemented"}), max_n=5)
     assert list(search(goal))
-    want = [p for n in range(1, 6) for p in enumerate_posets(n) if all(complement_candidates(p))]
-    assert packed == want
+    assert packed == [f for n in range(1, 6) for f in _complemented_frames(n)]
 
 
 def test_sweep_packs_a_poset_only_when_its_first_map_arrives(monkeypatch):
@@ -334,13 +339,13 @@ def test_sweep_packs_a_poset_only_when_its_first_map_arrives(monkeypatch):
     pack_poset = kernels.pack_poset
     monkeypatch.setattr(kernels, "pack_poset", counting_pack)
     rows = list(enumeration.sweep(enumerate_posets(5), enumeration.complementations))
-    assert packed == [p for p in enumerate_posets(5) if all(complement_candidates(p))]
-    assert len(packed) == 140 and len(rows) == 400
-    # only packing is counted here, so the flags of the 380 * 5**5 maps are not computed
-    monkeypatch.setattr(kernels, "instance_flags", lambda packed, prime: 0)
+    # the 140 posets with a complementation are copies of 7 frames
+    assert packed == _complemented_frames(5)
+    assert len(packed) == 7 and len(rows) == 400
     packed.clear()
-    assert sum(1 for _ in enumeration.sweep(enumerate_posets(5), enumeration.all_maps)) == 380 * 5**5
-    assert len(packed) == 380
+    assert sum(1 for _ in enumeration.sweep(enumerate_posets(4), enumeration.all_maps)) == 36 * 4**4
+    assert packed == list(dict.fromkeys(p.frame for p in enumerate_posets(4)))
+    assert len(packed) == 3
 
 
 def test_search_orthomodular_always_adjoint_small():
@@ -501,8 +506,7 @@ def test_replay_decides_poset_flags_once_per_run_of_hits(monkeypatch):
     # the reference reads no memoized line or slice of an earlier hit
     want = []
     for op in hits:
-        sasaki._line_memo.cache_clear()
-        adjoint._slice_memo.cache_clear()
+        properties.poset_memo.cache_clear()
         want.append((_fresh_flags(op), is_adjoint_pair(op)))
     calls = []
 
@@ -511,14 +515,38 @@ def test_replay_decides_poset_flags_once_per_run_of_hits(monkeypatch):
         return is_modular(p)
 
     monkeypatch.setattr(properties, "is_modular", counting_modular)
-    properties.poset_reports.cache_clear()
-    sasaki._line_memo.cache_clear()
-    adjoint._slice_memo.cache_clear()
+    properties.poset_memo.cache_clear()
     # witnesses included, as is_adjoint_pair reports them
     assert [(instance_flag_map(op), is_adjoint_pair(op)) for op in hits] == want
     # one run of consecutive hits per poset: A, then B, then A again
     assert [p.up for p in calls] == [a[0].poset.up, b[0].poset.up, a[0].poset.up]
     assert len(hits) > len(calls)
+
+
+def test_replay_builds_each_line_once_per_poset_element_and_image(monkeypatch):
+    # the search6 goal of the benchmark: 2,500 hits on 50 posets, every one total
+    goal = SearchGoal(require=frozenset({"modular", "complemented"}), forbid=frozenset({"orthomodular"}), max_n=6)
+    hits = list(search(goal))
+    built = []
+    line = sasaki._line
+
+    def counting_line(op, i):
+        built.append((op.poset, i, op.prime[i]))
+        return line(op, i)
+
+    monkeypatch.setattr(sasaki, "_line", counting_line)
+    flags = [instance_flag_map(op) for op in hits]
+    distinct = {(op.poset, i, v) for op in hits for i, v in enumerate(op.prime)}
+    assert len(built) == len(set(built)) == len(distinct) == 580
+    assert (len(hits), len({op.poset for op in hits})) == (2500, 50)
+    monkeypatch.undo()
+    reports = [is_adjoint_pair(op) for op in hits]
+    fresh = []
+    for op in hits:
+        properties.poset_memo.cache_clear()
+        fresh.append((instance_flag_map(op), is_adjoint_pair(op)))
+    # witnesses included, as is_adjoint_pair reports them
+    assert fresh == list(zip(flags, reports))
 
 
 def test_flag_vocabulary_agrees_across_layers(ex1):

@@ -8,7 +8,7 @@ from orthoposet import kernels
 from orthoposet.adjoint import EQUIVALENCE_GROUPS, check_directions, find_o6_subalgebra, is_adjoint_pair
 from orthoposet.enumeration import SearchGoal, complementations, enumerate_posets, search, sweep
 from orthoposet.poset_core import OpPoset, Poset
-from orthoposet.properties import is_lattice, is_orthogonal
+from orthoposet.properties import is_lattice, is_orthogonal, is_orthomodular
 from orthoposet.sasaki import is_sasaki_total
 
 from conftest import non_lattice_maps
@@ -62,6 +62,29 @@ def test_orthomodular_implies_adjoint_at_n6(sweep6):
             assert bits & kernels.FLAGS["a1"] and bits & kernels.FLAGS["a2"], (p, prime)
             seen += 1
     assert seen > 0
+
+
+def test_orthocomplementations_are_adjoint_exactly_when_orthomodular(sweep6):
+    """Findings over every complementation of every bounded poset with
+    n <= 6, not theorems of the paper: on an orthocomplementation (an
+    antitone involutive complementation) a1, a2 and orthomodularity hold
+    together or not at all, and no complementation satisfies a2 without a1.
+    The slow path agrees on every orthocomplementation."""
+    flag = kernels.FLAGS
+    rows = [row for n in range(1, 6) for row in sweep(enumerate_posets(n), complementations)] + sweep6
+    ortho = {}
+    a2_alone = 0
+    for _, p, prime, bits in rows:
+        a2_alone += bool(bits & flag["a2"]) and not bits & flag["a1"]
+        if bits & flag["antitone"] and bits & flag["involution"]:
+            ortho.setdefault(p.n, []).append((OpPoset(p, prime), bits))
+    assert (len(rows), a2_alone) == (25885, 0)
+    assert {n: len(ops) for n, ops in ortho.items()} == {1: 1, 2: 2, 4: 12, 6: 450}
+    for op, bits in (pair for ops in ortho.values() for pair in ops):
+        a1, a2, omod = (bool(bits & flag[name]) for name in ("a1", "a2", "orthomodular"))
+        assert a1 == a2 == omod, op
+        report = is_adjoint_pair(op)
+        assert (report.a1, report.a2, is_orthomodular(op).holds) == (a1, a2, omod), op
 
 
 def test_totality_and_directions_on_every_non_lattice_at_n6():
