@@ -7,6 +7,7 @@ duplicate-free and cross-checked against the naive filters in tests.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -26,8 +27,9 @@ SEARCH_FLAGS = PROPERTY_NAMES + ("total", "a1", "a2", "adjoint")
 
 
 def enumerate_relations(n: int) -> Iterator[tuple[int, ...]]:
-    """Up-row tuples of every labeled poset on n elements, once each, by orientation code."""
-    yield from kernels.relation_rows(n)
+    """Up-row tuples of every labeled poset on n elements, once each, by
+    orientation code: the ``kernels.relation_rows`` generator itself."""
+    return kernels.relation_rows(n)
 
 
 def enumerate_posets(n: int) -> Iterator[Poset]:
@@ -42,6 +44,8 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
     up rows of all frames are one ``bytes`` buffer, n bytes per frame, and
     the down rows a second; each (bottom, top) pair translates both once
     through its 256-byte table, and a copy's row i is column ``to_frame[i]``.
+    Each pair binds its constants into ``_trusted`` once and maps it over the
+    frames and the copies' rows: no Python loop per copy.
     """
     if not (1 <= n <= MAX_BOUNDED_N):
         raise PosetError(f"bounded enumeration supports 1 <= n <= {MAX_BOUNDED_N}")
@@ -55,7 +59,6 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
               for middle in (kernels.relation_rows(m) if m else [()])]
     ups = bytes(itertools.chain.from_iterable(frame.up for frame in frames))
     downs = bytes(itertools.chain.from_iterable(frame.down for frame in frames))
-    trusted = Poset._trusted
     for bottom in range(n):
         for top in range(n):
             if top == bottom:
@@ -70,8 +73,8 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
             up, down = ups.translate(spread), downs.translate(spread)
             copy_ups = zip(*[up[k::n] for k in to_frame])
             copy_downs = zip(*[down[k::n] for k in to_frame])
-            for frame, copy_up, copy_down in zip(frames, copy_ups, copy_downs):
-                yield trusted(names, copy_up, copy_down, bottom, top, frame, to_frame)
+            bound = functools.partial(Poset._trusted, names, n, full, bottom, top, to_frame)
+            yield from map(bound, frames, copy_ups, copy_downs)
 
 
 def complement_candidates(p: Poset) -> list[list[int]]:

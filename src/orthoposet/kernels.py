@@ -23,6 +23,8 @@ however many other maps a search or an all-map sweep tries.
 """
 from __future__ import annotations
 
+from operator import or_
+
 from .adjoint import CONDITION_KEYS, EQUIVALENCE_GROUPS
 from .poset_core import Poset, PosetError, indices_of, iter_mask
 
@@ -222,7 +224,9 @@ def relation_rows(n: int):
     size = 1 << m
     full = size - 1
     pow3 = [sum(3 ** j for j in range(m) if s >> j & 1) for s in range(size)]
+    bits = [tuple(d >> k & 1 for k in range(m)) for d in range(size)]  # bit k of d at place k
     for rows in relation_rows(m) if m else [()]:
+        shifted = [row << 1 for row in rows]  # the base rows, shifted past element 0
         # per subset S, from S less its lowest bit: its up-closure and the elements above all of S
         closure, common = [0] * size, [full] * size
         for s in range(1, size):
@@ -232,8 +236,8 @@ def relation_rows(n: int):
         extensions = []
         for c in [s for s in range(size) if closure[s] == s]:  # the up-sets
             d = full ^ c  # a down-set
-            # the base rows, shifted past element 0, which is above d
-            tail = tuple([row << 1 | (d >> k) & 1 for k, row in enumerate(rows)])
+            # element 0 is above d; not tuple(map(...)), which shrinks a 10-slot tuple and costs peak RSS
+            tail = (*map(or_, shifted, bits[d]),)
             key = 2 * pow3[d]
             # U ranges over the up-sets among the subsets of c above all of d
             allowed = u = common[d] & c

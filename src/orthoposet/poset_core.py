@@ -73,6 +73,8 @@ class Poset:
     ``down[i]`` the mask of all j with j <= i. The constructor validates
     reflexivity, antisymmetry, transitivity and the existence of a least
     and greatest element, for every poset built from parsed or user input.
+    After every row's range and diagonal, one walk over the pairs i < j, by
+    i then j, checks antisymmetry, then transitivity, then sets ``down[j]``.
     The one exception is ``enumerate_posets``: it validates each middle
     relation once through the constructor, on a ``frame``, and builds its
     relabeled copies with the unchecked ``_trusted``; a copy's element i is
@@ -88,7 +90,7 @@ class Poset:
 
     def __init__(self, names: Sequence[str], up_rows: Sequence[int]):
         names = tuple(names)
-        up = tuple(int(r) for r in up_rows)
+        up = tuple(map(int, up_rows))
         n = len(names)
         if n < 1:
             raise PosetError("a poset needs at least one element")
@@ -101,54 +103,54 @@ class Poset:
         if len(set(names)) != n:
             raise PosetError("element names must be unique")
         full = (1 << n) - 1
-        down = [0] * n
         for i, row in enumerate(up):
             if row & ~full:
                 raise PosetError(f"row {i} references elements outside the carrier")
             if not (row >> i) & 1:
                 raise PosetError(f"order is not reflexive at {names[i]}")
-            for j in iter_mask(row):
-                down[j] |= 1 << i
-        for i in range(n):
-            for j in iter_mask(up[i]):
-                if i != j and (up[j] >> i) & 1:
+        down = [1 << i for i in range(n)]
+        for i, row in enumerate(up):
+            bit = 1 << i
+            rest = row ^ bit
+            while rest:  # each j above i, ascending
+                low = rest & -rest
+                j = low.bit_length() - 1
+                if up[j] & bit:
                     raise PosetError(f"order is not antisymmetric on {names[i]}, {names[j]}")
-                if up[j] & ~up[i]:
+                if up[j] & ~row:
                     raise PosetError(f"order is not transitive at {names[i]} <= {names[j]}")
-        bottoms = [i for i in range(n) if up[i] == full]
-        tops = [i for i in range(n) if down[i] == full]
-        if not bottoms:
+                down[j] |= bit
+                rest ^= low
+        if full not in up:
             raise PosetError("poset has no least element")
-        if not tops:
+        if full not in down:
             raise PosetError("poset has no greatest element")
-        self.names = names
-        self.n = n
-        self.up = up
-        self.down = tuple(down)
-        self.bottom = bottoms[0]
-        self.top = tops[0]
-        self.full = full
+        self.names, self.n, self.full = names, n, full
+        self.up, self.down = up, tuple(down)
+        self.bottom, self.top = up.index(full), down.index(full)
         self.frame = self.to_frame = self._packed = None
         self._index = self._joins = self._meets = self._min_upper = self._max_lower = self._covers = None
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def _trusted(cls, names: tuple[str, ...], up: tuple[int, ...], down: tuple[int, ...],
-                 bottom: int, top: int, frame: "Poset", to_frame: tuple[int, ...]) -> "Poset":
+    def _trusted(cls, names: tuple[str, ...], n: int, full: int, bottom: int, top: int,
+                 to_frame: tuple[int, ...], frame: "Poset", up: tuple[int, ...],
+                 down: tuple[int, ...]) -> "Poset":
         """A copy of ``frame`` whose element i is frame element ``to_frame[i]``.
 
-        Nothing is checked, so the caller must derive the rows from the
-        frame's; ``enumerate_posets`` does.
+        Nothing is checked or computed: the caller passes ``n`` and ``full``,
+        derives the rows from the frame's and binds every argument before
+        ``frame`` once per (bottom, top) pair, as ``enumerate_posets`` does.
         """
         self = cls.__new__(cls)
         self.names = names
-        self.n = len(names)
+        self.n = n
         self.up = up
         self.down = down
         self.bottom = bottom
         self.top = top
-        self.full = (1 << self.n) - 1
+        self.full = full
         self.frame, self.to_frame, self._packed = frame, to_frame, None
         self._index = self._joins = self._meets = self._min_upper = self._max_lower = self._covers = None
         return self

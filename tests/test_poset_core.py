@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +54,55 @@ def test_single_element():
 def test_rejects_invalid_structures(names, rows, message):
     with pytest.raises(PosetError, match=message):
         Poset(names, rows)
+
+
+# Malformed rows beyond the reflexive relations. Every row's range and
+# diagonal are checked, row by row, before any pair: a negative row, a row
+# outside the carrier and a missing diagonal, each beside a 2-cycle, and a
+# missing diagonal before an out-of-range row. Then a 2-cycle that also fails
+# transitivity, and a failure of each bound, on five elements.
+MALFORMED_ROWS = [
+    ("ab", (-1, 0b11)),
+    ("abc", (0b011, 0b011, 0b1100)),
+    ("abc", (0b011, 0b011, 0b000)),
+    ("abc", (0b010, 0b1010, 0b100)),
+    ("abcde", (0b00011, 0b00111, 0b00100, 0b01000, 0b10000)),
+    ("abcde", (0b00011, 0b00010, 0b11100, 0b01000, 0b10000)),
+    ("abcde", (0b11111, 0b01010, 0b00100, 0b01000, 0b10000)),
+]
+
+# sha256 over repr((rows, outcome)) for every reflexive 0/1 relation on
+# n <= 4 elements (4,165 of them, in the order _reflexive_relations makes
+# them) and then MALFORMED_ROWS, where the outcome is the PosetError message
+# or (down, bottom, top); taken with the constructor's two-loop walk
+# (an iter_mask pass building down, then a second checking every pair)
+CONSTRUCTOR_VERDICTS_SHA256 = "0dd58b5a207a1470b1997be2554fe60b394782f14e6c906343de00955ac72adf"
+
+
+def _reflexive_relations():
+    for n in range(1, 5):
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for code in range(1 << len(pairs)):
+            rows = [1 << i for i in range(n)]
+            for place, (i, j) in enumerate(pairs):
+                if code >> place & 1:
+                    rows[i] |= 1 << j
+            yield "abcd"[:n], tuple(rows)
+
+
+def test_constructor_verdicts_and_messages_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for names, rows in itertools.chain(_reflexive_relations(), MALFORMED_ROWS):
+        try:
+            p = Poset(names, rows)
+            outcome = (p.down, p.bottom, p.top)
+        except PosetError as e:
+            outcome = str(e)
+        h.update(repr((rows, outcome)).encode())
+        count += 1
+    assert count == 4165 + len(MALFORMED_ROWS)
+    assert h.hexdigest() == CONSTRUCTOR_VERDICTS_SHA256
 
 
 def test_rejects_missing_greatest():
